@@ -12,7 +12,7 @@ type t = {
   mutable misses : int;
   mutable evicted : int;
   mutable probe_ms : float;
-  per_label : (string, int) Hashtbl.t;
+  per_label : (string, int ref) Hashtbl.t;
 }
 
 let create () =
@@ -64,21 +64,24 @@ let snapshot t =
   s.misses <- t.misses;
   s.evicted <- t.evicted;
   s.probe_ms <- t.probe_ms;
-  Hashtbl.iter (fun k v -> Hashtbl.replace s.per_label k v) t.per_label;
+  Hashtbl.iter (fun k v -> Hashtbl.replace s.per_label k (ref !v)) t.per_label;
   s
 
 let label_count t label =
-  Option.value ~default:0 (Hashtbl.find_opt t.per_label label)
+  match Hashtbl.find_opt t.per_label label with Some c -> !c | None -> 0
 
 let labels t =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.per_label []
+  Hashtbl.fold (fun k v acc -> (k, !v) :: acc) t.per_label []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let record_issue t label =
   t.issued <- t.issued + 1;
   match label with
   | None -> ()
-  | Some l -> Hashtbl.replace t.per_label l (label_count t l + 1)
+  | Some l -> (
+    match Hashtbl.find t.per_label l with
+    | c -> incr c
+    | exception Not_found -> Hashtbl.add t.per_label l (ref 1))
 
 let pp fmt t =
   Format.fprintf fmt

@@ -24,14 +24,17 @@ type t = {
   mutable probe_ms : float;
       (** total measurement time charged on the issuing path (RTTs of
           delivered attempts, timeouts of lost ones, backoff delays) *)
-  per_label : (string, int) Hashtbl.t;  (** issued probes per protocol *)
+  per_label : (string, int ref) Hashtbl.t;
+      (** issued probes per protocol; one counter cell per label, so
+          recording a probe is a single lookup *)
 }
 
 val create : unit -> t
 val reset : t -> unit
 
 val snapshot : t -> t
-(** An independent copy (for diffing around a phase). *)
+(** An independent copy (for diffing around a phase): the per-label
+    counter cells are copied, not shared. *)
 
 val label_count : t -> string -> int
 (** Issued probes attributed to a label; 0 when never seen. *)

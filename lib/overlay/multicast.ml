@@ -110,15 +110,16 @@ let build_backend ?config ?predict backend ~join_order =
     ~join_order ~predict ()
 
 (* Is [candidate] in the subtree rooted at [node]?  Switching to a
-   descendant would create a cycle. *)
+   descendant would create a cycle.  A top-level ascent, so a call
+   builds no closure. *)
+let rec ascends_to t node cur steps =
+  if steps < 0 then false (* defensive: corrupted tree *)
+  else if cur = node then true
+  else if cur = t.root || cur < 0 then false
+  else ascends_to t node t.parent.(cur) (steps - 1)
+
 let in_subtree t node candidate =
-  let rec ascend cur steps =
-    if steps < 0 then false (* defensive: corrupted tree *)
-    else if cur = node then true
-    else if cur = t.root || cur < 0 then false
-    else ascend t.parent.(cur) (steps - 1)
-  in
-  ascend candidate (Array.length t.parent)
+  ascends_to t node candidate (Array.length t.parent)
 
 (* Predicted delay from every member to the root along the current tree
    edges: the quantity a member advertises to prospective children. *)
@@ -147,48 +148,49 @@ let refresh_general t rng ~known ~predict =
      use slightly stale values, as a real periodically-advertised
      protocol would. *)
   let root_delay = predicted_root_delays t ~predict in
-  let via candidate p = root_delay.(candidate) +. p in
+  let sample = Array.make t.config.refresh_sample 0 in
   Array.iter
     (fun node ->
       if node <> t.root && t.joined.(node) then begin
         let current = t.parent.(node) in
-        let current_cost = via current (predict node current) in
+        let current_cost = root_delay.(current) +. predict node current in
         (* Sample refresh candidates from the membership; optimize the
            predicted end-to-end delay from the root, not just the parent
-           edge, so refreshes cannot degenerate into long chains. *)
-        let sample =
-          List.init t.config.refresh_sample (fun _ -> Rng.choice rng all_members)
-        in
-        let eligible =
-          List.filter (fun c -> not (in_subtree t node c)) sample
-        in
-        let best =
-          List.fold_left
-            (fun acc cand ->
-              if
-                cand <> node && cand <> current && t.joined.(cand)
-                && t.degree.(cand) < t.config.max_degree
-                && known node cand
-              then begin
-                let p = predict node cand in
-                if Float.is_nan p || Float.is_nan root_delay.(cand) then acc
-                else begin
-                  let cost = via cand p in
-                  match acc with
-                  | Some (_, bc) when bc <= cost -> acc
-                  | _ -> Some (cand, cost)
-                end
+           edge, so refreshes cannot degenerate into long chains.  The
+           whole sample is drawn before any candidate is probed. *)
+        for s = 0 to Array.length sample - 1 do
+          sample.(s) <- Rng.choice rng all_members
+        done;
+        (* Candidates in sample order; the first of equal costs wins.
+           Descendants are skipped (switching to one would close a
+           cycle); the tree is not changed until the scan ends. *)
+        let best = ref (-1) and best_cost = ref infinity in
+        for s = 0 to Array.length sample - 1 do
+          let cand = sample.(s) in
+          if
+            cand <> node && cand <> current && t.joined.(cand)
+            && t.degree.(cand) < t.config.max_degree
+            && (not (in_subtree t node cand))
+            && known node cand
+          then begin
+            let p = predict node cand in
+            if not (Float.is_nan p || Float.is_nan root_delay.(cand)) then begin
+              let cost = root_delay.(cand) +. p in
+              if !best < 0 || not (!best_cost <= cost) then begin
+                best := cand;
+                best_cost := cost
               end
-              else acc)
-            None eligible
-        in
-        match best with
-        | Some (better, cost) when Float.is_nan current_cost || cost < current_cost ->
+            end
+          end
+        done;
+        let better = !best in
+        if better >= 0 && (Float.is_nan current_cost || !best_cost < current_cost)
+        then begin
           t.degree.(current) <- t.degree.(current) - 1;
           t.parent.(node) <- better;
           t.degree.(better) <- t.degree.(better) + 1;
           incr switches
-        | _ -> ()
+        end
       end)
     order;
   !switches

@@ -464,6 +464,28 @@ let test_stats_snapshot_independent () =
   checki "snapshot frozen" 1 snap.Probe_stats.issued;
   checki "live advanced" 2 (Engine.stats e).Probe_stats.issued
 
+(* Per-label counters are mutable cells; a snapshot copies them, so
+   probes issued after it leave its labels untouched. *)
+let test_stats_snapshot_labels_frozen () =
+  let m = euclidean_matrix 21 20 in
+  let e = engine m in
+  ignore (Engine.rtt ~label:"vivaldi" e 0 1);
+  ignore (Engine.rtt ~label:"vivaldi" e 0 2);
+  ignore (Engine.rtt ~label:"alert" e 0 3);
+  let snap = Probe_stats.snapshot (Engine.stats e) in
+  ignore (Engine.rtt ~label:"vivaldi" e 0 4);
+  ignore (Engine.rtt ~label:"meridian" e 0 5);
+  Alcotest.(check (list (pair string int)))
+    "snapshot labels frozen"
+    [ ("alert", 1); ("vivaldi", 2) ]
+    (Probe_stats.labels snap);
+  checki "live label advanced" 3
+    (Probe_stats.label_count (Engine.stats e) "vivaldi");
+  checki "new label only live" 1
+    (Probe_stats.label_count (Engine.stats e) "meridian");
+  checki "new label absent from snapshot" 0
+    (Probe_stats.label_count snap "meridian")
+
 (* ------------------------------------------------------------------ *)
 (* Degradation end-to-end: faults hurt Meridian where it matters       *)
 
@@ -685,6 +707,8 @@ let () =
           Alcotest.test_case "per-label counters" `Quick test_label_accounting;
           Alcotest.test_case "snapshot independence" `Quick
             test_stats_snapshot_independent;
+          Alcotest.test_case "snapshot labels frozen" `Quick
+            test_stats_snapshot_labels_frozen;
         ] );
       ( "degradation",
         [

@@ -163,6 +163,132 @@ let test_cache_evicts_lru_key () =
     done
   done
 
+(* Model check against a reference table keyed on [(min i j, max i j)]
+   with an explicit recency list: random store / lookup / clock-advance
+   sequences over node indices up to 200k (the lazy backend memo's
+   range), with and without a capacity.  Every lookup's code and value,
+   every store's eviction count, [length] and [evictions] must agree
+   after every step. *)
+type cache_op =
+  | Store of int * int * float
+  | Lookup of bool * int * int  (* [true] = through [find_code] *)
+  | Advance of float
+
+let gen_cache_case =
+  let open QCheck2.Gen in
+  let* capacity = opt (int_range 1 12) in
+  let* ttl = float_range 0.5 20. in
+  let* pool = array_size (int_range 2 10) (int_range 0 199_999) in
+  let node = map (fun k -> pool.(k)) (int_range 0 (Array.length pool - 1)) in
+  let value = frequency [ (9, float_range 1. 500.); (1, pure nan) ] in
+  let op =
+    frequency
+      [
+        (3, map3 (fun i j v -> Store (i, j, v)) node node value);
+        (3, map3 (fun c i j -> Lookup (c, i, j)) bool node node);
+        (1, map (fun d -> Advance d) (float_range 0. ttl));
+      ]
+  in
+  let+ ops = list_size (int_range 1 300) op in
+  (capacity, ttl, ops)
+
+let prop_cache_matches_model =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"cache = reference model"
+       gen_cache_case (fun (capacity, ttl, ops) ->
+         let fail fmt = QCheck2.Test.fail_reportf fmt in
+         let c = Cache.create ?capacity ~ttl () in
+         let model = Hashtbl.create 16 in
+         (* recency, most recent first *)
+         let order = ref [] in
+         let use key = order := key :: List.filter (( <> ) key) !order in
+         let evictions = ref 0 in
+         let now = ref 0. in
+         let buf = [| nan |] in
+         List.iteri
+           (fun step op ->
+             (match op with
+             | Advance d -> now := !now +. d
+             | Store (i, j, v) ->
+               let key = (min i j, max i j) in
+               let expected =
+                 if Float.is_nan v then 0
+                 else begin
+                   let resident = Hashtbl.mem model key in
+                   Hashtbl.replace model key (v, !now);
+                   use key;
+                   match capacity with
+                   | Some cap when (not resident) && Hashtbl.length model > cap ->
+                     let lru = List.nth !order (List.length !order - 1) in
+                     order := List.filter (( <> ) lru) !order;
+                     Hashtbl.remove model lru;
+                     incr evictions;
+                     1
+                   | _ -> 0
+                 end
+               in
+               let got = Cache.store c ~now:!now i j v in
+               if got <> expected then
+                 fail "step %d: store (%d, %d) evicted %d, model %d" step i j got
+                   expected
+             | Lookup (coded, i, j) ->
+               let key = (min i j, max i j) in
+               let expected =
+                 match Hashtbl.find_opt model key with
+                 | Some (v, t) when !now -. t <= ttl ->
+                   use key;
+                   Cache.Hit v
+                 | Some _ ->
+                   Hashtbl.remove model key;
+                   order := List.filter (( <> ) key) !order;
+                   Cache.Stale
+                 | None -> Cache.Miss
+               in
+               let got =
+                 if coded then begin
+                   let code = Cache.find_code c ~now:!now ~into:buf i j in
+                   if code = Cache.code_hit then Cache.Hit buf.(0)
+                   else if code = Cache.code_stale then Cache.Stale
+                   else Cache.Miss
+                 end
+                 else Cache.find c ~now:!now i j
+               in
+               if got <> expected then
+                 fail "step %d: lookup (%d, %d) disagrees with the model" step i j);
+             if Cache.length c <> Hashtbl.length model then
+               fail "step %d: length %d, model %d" step (Cache.length c)
+                 (Hashtbl.length model);
+             if Cache.evictions c <> !evictions then
+               fail "step %d: evictions %d, model %d" step (Cache.evictions c)
+                 !evictions)
+           ops;
+         true))
+
+(* The table hashes every pair of a 400-node world apart: the
+   polymorphic hash of the packed key gave these 79,800 pairs 1,021
+   distinct values.  At the 65,536 buckets the table grows to for them,
+   no chain may be far beyond a random hash's. *)
+let test_cache_hash_spread () =
+  let n = 400 in
+  let distinct = Hashtbl.create 100_000 in
+  let buckets = Array.make 65_536 0 in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      let h = Cache.hash_pair i j in
+      checkb "symmetric" true (h = Cache.hash_pair j i);
+      checkb "non-negative" true (h >= 0);
+      Hashtbl.replace distinct h ();
+      let b = h land 65_535 in
+      buckets.(b) <- buckets.(b) + 1
+    done
+  done;
+  checkb
+    (Printf.sprintf "distinct hashes (%d) >= 79000" (Hashtbl.length distinct))
+    true
+    (Hashtbl.length distinct >= 79_000);
+  let longest = Array.fold_left max 0 buckets in
+  checkb (Printf.sprintf "longest chain (%d) <= 12" longest) true (longest <= 12)
+
 (* ------------------------------------------------------------------ *)
 (* Budget invariants                                                   *)
 
@@ -991,6 +1117,8 @@ let () =
           Alcotest.test_case "eviction counter identity" `Quick
             test_cache_eviction_counter_identity;
           Alcotest.test_case "evicts the lru key" `Quick test_cache_evicts_lru_key;
+          prop_cache_matches_model;
+          Alcotest.test_case "key hash spread" `Quick test_cache_hash_spread;
         ] );
       ( "budget",
         [

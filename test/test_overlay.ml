@@ -213,6 +213,194 @@ let prop_build_invariants_random =
         (Multicast.members t);
       !ok)
 
+(* ------------------------------------------------------------------ *)
+(* Refresh differential: the list-based loop [refresh_engine] replaced  *)
+
+(* The tree's state, read through the public accessors so the reference
+   loop below can mutate it. *)
+type mirror = {
+  root : int;
+  parent : int array;
+  joined : bool array;
+  degree : int array;
+  max_degree : int;
+  refresh_sample : int;
+}
+
+let mirror_of config t n =
+  let joined = Array.make n false in
+  List.iter (fun v -> joined.(v) <- true) (Multicast.members t);
+  {
+    root = Multicast.root t;
+    parent =
+      Array.init n (fun v -> Option.value ~default:(-1) (Multicast.parent t v));
+    joined;
+    degree = Array.init n (Multicast.children_count t);
+    max_degree = config.Multicast.max_degree;
+    refresh_sample = config.Multicast.refresh_sample;
+  }
+
+let reference_in_subtree r node candidate =
+  let rec ascend cur steps =
+    if steps < 0 then false
+    else if cur = node then true
+    else if cur = r.root || cur < 0 then false
+    else ascend r.parent.(cur) (steps - 1)
+  in
+  ascend candidate (Array.length r.parent)
+
+let reference_members r =
+  List.filter (fun v -> r.joined.(v)) (List.init (Array.length r.joined) Fun.id)
+
+let reference_root_delays r ~predict =
+  let out = Array.make (Array.length r.parent) nan in
+  out.(r.root) <- 0.;
+  let rec resolve node =
+    if not (Float.is_nan out.(node)) then out.(node)
+    else begin
+      let p = r.parent.(node) in
+      let d = resolve p +. predict node p in
+      out.(node) <- d;
+      d
+    end
+  in
+  List.iter (fun node -> ignore (resolve node)) (reference_members r);
+  out
+
+let reference_refresh r rng ~known ~predict =
+  let all_members = Array.of_list (reference_members r) in
+  let order = Array.copy all_members in
+  Rng.shuffle rng order;
+  let switches = ref 0 in
+  let root_delay = reference_root_delays r ~predict in
+  let via candidate p = root_delay.(candidate) +. p in
+  Array.iter
+    (fun node ->
+      if node <> r.root && r.joined.(node) then begin
+        let current = r.parent.(node) in
+        let current_cost = via current (predict node current) in
+        let sample =
+          List.init r.refresh_sample (fun _ -> Rng.choice rng all_members)
+        in
+        let eligible =
+          List.filter (fun c -> not (reference_in_subtree r node c)) sample
+        in
+        let best =
+          List.fold_left
+            (fun acc cand ->
+              if
+                cand <> node && cand <> current && r.joined.(cand)
+                && r.degree.(cand) < r.max_degree
+                && known node cand
+              then begin
+                let p = predict node cand in
+                if Float.is_nan p || Float.is_nan root_delay.(cand) then acc
+                else begin
+                  let cost = via cand p in
+                  match acc with
+                  | Some (_, bc) when bc <= cost -> acc
+                  | _ -> Some (cand, cost)
+                end
+              end
+              else acc)
+            None eligible
+        in
+        match best with
+        | Some (better, cost)
+          when Float.is_nan current_cost || cost < current_cost ->
+          r.degree.(current) <- r.degree.(current) - 1;
+          r.parent.(node) <- better;
+          r.degree.(better) <- r.degree.(better) + 1;
+          incr switches
+        | _ -> ()
+      end)
+    order;
+  !switches
+
+(* Two identical engines (TTL'd cache, loss, charged time, missing
+   pairs) and two copies of one tree and one generator: the reference
+   loop and [refresh_engine] must switch the same parents, probe the
+   same pairs in the same order and leave the generator in the same
+   state, pass after pass. *)
+let prop_refresh_matches_reference =
+  qcheck ~count:40 "refresh_engine = list-based reference"
+    QCheck2.Gen.(int_range 0 100_000)
+    (fun seed ->
+      let module Engine = Tivaware_measure.Engine in
+      let module Fault = Tivaware_measure.Fault in
+      let module Oracle = Tivaware_measure.Oracle in
+      let module Probe_stats = Tivaware_measure.Probe_stats in
+      let module Summary = Tivaware_obs.Summary in
+      let g = Rng.create seed in
+      let n = 20 + Rng.int g 60 in
+      let m = euclidean_matrix seed n in
+      (* Delays rounded to 10 ms make equal-cost candidates common, so
+         first-wins tie-breaking is exercised; some pairs are missing. *)
+      for i = 0 to n - 1 do
+        for j = i + 1 to n - 1 do
+          Matrix.set m i j
+            (if Rng.bernoulli g 0.03 then nan
+             else 10. *. Float.round (Matrix.get m i j /. 10.))
+        done
+      done;
+      let engine_config =
+        {
+          Engine.default_config with
+          Engine.fault =
+            {
+              Fault.default with
+              Fault.loss = Rng.uniform g 0. 0.2;
+              retries = Rng.int g 2;
+              timeout = 200.;
+            };
+          cache_ttl = Some (Rng.uniform g 0.5 30.);
+          cache_capacity =
+            (if Rng.bool g then Some (8 + Rng.int g 200) else None);
+          charge_time = true;
+          seed;
+        }
+      in
+      let config =
+        {
+          Multicast.max_degree = 2 + Rng.int g 5;
+          refresh_sample = 1 + Rng.int g 20;
+        }
+      in
+      let joining = max 2 (n - Rng.int g (n / 4)) in
+      let order = Array.sub (Rng.permutation g n) 0 joining in
+      let ea = Engine.of_matrix ~config:engine_config m in
+      let eb = Engine.of_matrix ~config:engine_config m in
+      ignore (Multicast.build_engine ~config ea ~join_order:order);
+      let t = Multicast.build_engine ~config eb ~join_order:order in
+      let r = mirror_of config t n in
+      let known i j =
+        i <> j && not (Float.is_nan (Oracle.query (Engine.oracle ea) i j))
+      in
+      let predict = Engine.rtt ~label:"multicast" ea in
+      let ra = Rng.create (seed + 1) and rb = Rng.create (seed + 1) in
+      for pass = 1 to 4 do
+        let expected = reference_refresh r ra ~known ~predict in
+        let got = Multicast.refresh_engine t rb eb in
+        let msg what = Printf.sprintf "seed %d pass %d: %s" seed pass what in
+        Alcotest.(check int) (msg "switches") expected got;
+        for v = 0 to n - 1 do
+          Alcotest.(check int) (msg (Printf.sprintf "parent of %d" v))
+            r.parent.(v)
+            (Option.value ~default:(-1) (Multicast.parent t v));
+          Alcotest.(check int) (msg (Printf.sprintf "degree of %d" v))
+            r.degree.(v)
+            (Multicast.children_count t v)
+        done;
+        Alcotest.(check string) (msg "probe stats")
+          (Format.asprintf "%a" Probe_stats.pp (Engine.stats ea))
+          (Format.asprintf "%a" Probe_stats.pp (Engine.stats eb));
+        Alcotest.(check string) (msg "obs summary")
+          (Summary.to_string ~clock:(Engine.now ea) (Engine.obs ea))
+          (Summary.to_string ~clock:(Engine.now eb) (Engine.obs eb))
+      done;
+      Alcotest.(check int64) "next draw" (Rng.int64 ra) (Rng.int64 rb);
+      true)
+
 let () =
   Alcotest.run "overlay"
     [
@@ -230,5 +418,6 @@ let () =
           Alcotest.test_case "engine = oracle build/refresh" `Quick
             test_engine_build_refresh_equivalence;
           prop_build_invariants_random;
+          prop_refresh_matches_reference;
         ] );
     ]
