@@ -7,13 +7,10 @@
 
 module Rng = Tivaware_util.Rng
 module Table = Tivaware_util.Table
-module Zipf = Tivaware_util.Zipf
 module Engine = Tivaware_measure.Engine
-module Fault = Tivaware_measure.Fault
 module Churn = Tivaware_measure.Churn
 module Arbiter = Tivaware_measure.Arbiter
 module Probe_stats = Tivaware_measure.Probe_stats
-module Sim = Tivaware_eventsim.Sim
 module Chord = Tivaware_dht.Chord
 module Id_space = Tivaware_dht.Id_space
 
@@ -37,19 +34,12 @@ let arm ctx ?interval ?share () =
     Engine.of_matrix
       ~config:
         {
-          Engine.fault = Fault.default;
-          profile = None;
-          churn = Some churn;
-          dynamics = None;
-          budget = None;
-          cache_ttl = None;
-          cache_capacity = None;
-          charge_time = false;
+          Engine.default_config with
+          Engine.churn = Some churn;
           seed = ctx.Context.seed + 89;
         }
       (Context.matrix ctx)
   in
-  let c = Option.get (Engine.churn e) in
   let chord = Chord.build_engine ~successor_list:8 e in
   let keys =
     let krng = Context.rng ctx 97 in
@@ -57,15 +47,9 @@ let arm ctx ?interval ?share () =
         (Rng.int krng (Id_space.modulus lsr 10) lsl 10) lor i)
   in
   let store = Chord.Store.create ~replicas:2 chord ~keys in
-  let sim = Sim.create () in
   let stab =
-    match interval with
-    | None ->
-        (* No stabilizer: still slave the engine clock so churn moves
-           with simulated time, exactly as Stabilizer.schedule would. *)
-        Sim.on_advance sim (fun time -> Engine.advance_to e time);
-        None
-    | Some interval ->
+    Option.map
+      (fun interval ->
         let arbiter =
           Option.map
             (fun share ->
@@ -82,30 +66,13 @@ let arm ctx ?interval ?share () =
         let config =
           { Chord.Stabilizer.default_config with Chord.Stabilizer.interval }
         in
-        let stab = Chord.Stabilizer.create ~config ?arbiter ~store chord e in
-        Chord.Stabilizer.schedule stab sim;
-        Some stab
+        Chord.Stabilizer.create ~config ?arbiter ~store chord e)
+      interval
   in
-  let zipf = Zipf.create ~n:key_count ~s:0.9 in
-  let wl = Context.rng ctx 101 in
-  let issued = ref 0 and correct = ref 0 in
-  for i = 0 to lookup_count - 1 do
-    let at = duration *. float_of_int (i + 1) /. float_of_int (lookup_count + 1) in
-    Sim.schedule_at sim at (fun () ->
-        let source = Rng.int wl n in
-        let key = keys.(Zipf.sample zipf wl) in
-        if Churn.is_up c source then begin
-          incr issued;
-          let o =
-            Chord.lookup_fn chord (fun u v -> Engine.rtt ~label:"dht" e u v)
-              ~source ~key
-          in
-          if Churn.is_up c o.Chord.owner
-             && Chord.Store.holds store ~key ~node:o.Chord.owner
-          then incr correct
-        end)
-  done;
-  Sim.run sim ~until:duration;
+  let w =
+    Chord.Workload.run ?stabilizer:stab ~store ~zipf_s:0.9
+      ~lookups:lookup_count ~duration (Context.rng ctx 101) chord e
+  in
   let totals =
     match stab with
     | Some s -> Chord.Stabilizer.totals s
@@ -113,7 +80,11 @@ let arm ctx ?interval ?share () =
         { Chord.Stabilizer.rounds = 0; checked = 0; rerouted = 0;
           marked_dead = 0; revived = 0; denied = 0 }
   in
-  (!issued, !correct, Chord.Store.migrated store, totals, Engine.stats e)
+  ( w.Chord.Workload.issued,
+    w.Chord.Workload.correct,
+    Chord.Store.migrated store,
+    totals,
+    Engine.stats e )
 
 let stabilize ctx =
   Report.section "stabilize"

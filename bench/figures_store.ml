@@ -7,33 +7,27 @@
    alert threshold.  Companion to test/test_store_properties.ml and the
    committed BENCH_store.md. *)
 
-module Rng = Tivaware_util.Rng
 module Table = Tivaware_util.Table
 module Stats = Tivaware_util.Stats
 module Engine = Tivaware_measure.Engine
 module Fault = Tivaware_measure.Fault
 module Churn = Tivaware_measure.Churn
 module Dynamics = Tivaware_measure.Dynamics
-module Probe_stats = Tivaware_measure.Probe_stats
-module System = Tivaware_vivaldi.System
-module Selectors = Tivaware_core.Selectors
 module Backend = Tivaware_backend.Delay_backend
+module Policy_arm = Tivaware_core.Policy_arm
 module Store_policy = Tivaware_store.Policy
 module Store_scenario = Tivaware_store.Scenario
 
 (* One policy arm, mirroring `tivlab store --loss 0.03 --churn
-   --dynamics diurnal`: the scenario engine is rebuilt per arm with the
-   same seeds, so every policy sees the identical fault/churn/dynamics
-   streams; coordinate-consuming policies pay for their embedding on a
-   separate maintenance engine (same world, seed + 1) whose probes are
-   reported as maintenance overhead. *)
-let arm ctx policy_kind =
+   --dynamics diurnal`: every arm's engines come from the same seeded
+   config, so every policy sees the identical fault/churn/dynamics
+   streams (see Policy_arm). *)
+let arm ctx kind =
   let backend = Backend.dense (Context.matrix ctx) in
-  let seed = ctx.Context.seed in
   let config engine_seed =
     {
+      Engine.default_config with
       Engine.fault = { Fault.default with Fault.loss = 0.03 };
-      profile = None;
       churn = Some { Churn.default with Churn.fraction = 0.2; seed = engine_seed };
       dynamics =
         Some
@@ -42,42 +36,15 @@ let arm ctx policy_kind =
             Dynamics.diurnal = Some Dynamics.default_diurnal;
             seed = engine_seed;
           };
-      budget = None;
-      cache_ttl = None;
-      cache_capacity = None;
-      charge_time = false;
       seed = engine_seed;
     }
   in
-  let engine = Backend.engine ~config:(config seed) backend in
-  let maintenance = ref None in
-  let predictor () =
-    let e = Backend.engine ~config:(config (seed + 1)) backend in
-    let system =
-      Selectors.embed_vivaldi_engine (Rng.create (seed + 1)) e
-    in
-    maintenance := Some e;
-    fun i j -> System.predicted system i j
-  in
-  let policy =
-    match policy_kind with
-    | `Naive -> Store_policy.naive ()
-    | `Vivaldi -> Store_policy.coordinate (predictor ())
-    | `Meridian -> Store_policy.probe ()
-    | `Alert -> Store_policy.alert (predictor ())
-  in
-  let sc =
-    Store_scenario.create
-      ~config:{ Store_scenario.default_config with Store_scenario.seed = seed + 17 }
-      ~policy ~backend ~engine ()
-  in
-  let result = Store_scenario.run sc in
-  let maint_probes =
-    match !maintenance with
-    | None -> 0
-    | Some e -> Probe_stats.label_count (Engine.stats e) "vivaldi"
-  in
-  (result, maint_probes)
+  let seed = ctx.Context.seed in
+  Policy_arm.store
+    ~engine:(fun s -> Backend.engine ~config:(config s) backend)
+    ~seed
+    ~config:{ Store_scenario.default_config with Store_scenario.seed = seed + 17 }
+    backend kind
 
 let store ctx =
   Report.section "store"
@@ -97,18 +64,14 @@ let store ctx =
         ]
   in
   let row kind =
-    let result, maint = arm ctx kind in
+    let arm = arm ctx kind in
+    let result = arm.Policy_arm.result in
     let lat = result.Store_scenario.latencies in
     let completed = max 1 result.Store_scenario.completed in
     let p99 = Stats.percentile lat 99. in
     Table.add_row table
       [
-        Store_policy.name
-          (match kind with
-          | `Naive -> Store_policy.naive ()
-          | `Vivaldi -> Store_policy.coordinate (fun _ _ -> 0.)
-          | `Meridian -> Store_policy.probe ()
-          | `Alert -> Store_policy.alert (fun _ _ -> 0.));
+        Store_policy.name (Store_scenario.policy arm.Policy_arm.scenario);
         string_of_int result.Store_scenario.completed;
         Printf.sprintf "%.1f" (Stats.mean lat);
         Printf.sprintf "%.1f" (Stats.percentile lat 50.);
@@ -116,7 +79,7 @@ let store ctx =
         Printf.sprintf "%.2f"
           (float_of_int result.Store_scenario.policy_probes
           /. float_of_int completed);
-        string_of_int maint;
+        string_of_int arm.Policy_arm.maintenance_probes;
         string_of_int result.Store_scenario.dead_attempts;
         string_of_int result.Store_scenario.handoffs;
         string_of_int result.Store_scenario.repair.Store_scenario.total_rehomed;

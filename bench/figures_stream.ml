@@ -8,35 +8,29 @@
    and quarantines likely-shrunk edges.  Companion to
    test/test_stream.ml and the committed BENCH_stream.md. *)
 
-module Rng = Tivaware_util.Rng
 module Table = Tivaware_util.Table
 module Stats = Tivaware_util.Stats
 module Engine = Tivaware_measure.Engine
-module Fault = Tivaware_measure.Fault
 module Churn = Tivaware_measure.Churn
 module Dynamics = Tivaware_measure.Dynamics
 module Probe_stats = Tivaware_measure.Probe_stats
-module System = Tivaware_vivaldi.System
-module Selectors = Tivaware_core.Selectors
 module Backend = Tivaware_backend.Delay_backend
 module Multicast = Tivaware_overlay.Multicast
+module Policy_arm = Tivaware_core.Policy_arm
 module Select = Tivaware_stream.Select
 module Swarm = Tivaware_stream.Swarm
 
 (* One policy arm, mirroring `tivlab stream --churn --dynamics
-   routeflap`: the swarm engine is rebuilt per arm with the same
-   seeds, so every policy sees the identical churn schedule and route
-   flaps; coordinate-consuming policies pay for their embedding on a
-   separate maintenance engine (same world, seed + 1) whose probes are
-   reported as maintenance overhead. *)
-let arm ctx policy_kind =
+   routeflap`: every arm's engines come from the same seeded config,
+   so every policy sees the identical churn schedule and route flaps
+   (see Policy_arm). *)
+let arm ctx kind =
   let backend = Backend.dense (Context.matrix ctx) in
-  let seed = ctx.Context.seed in
   let config engine_seed =
     {
-      Engine.fault = Fault.default;
-      profile = None;
-      churn = Some { Churn.default with Churn.fraction = 0.2; seed = engine_seed };
+      Engine.default_config with
+      Engine.churn =
+        Some { Churn.default with Churn.fraction = 0.2; seed = engine_seed };
       dynamics =
         Some
           {
@@ -44,44 +38,15 @@ let arm ctx policy_kind =
             Dynamics.route_flap = Some Dynamics.default_route_flap;
             seed = engine_seed;
           };
-      budget = None;
-      cache_ttl = None;
-      cache_capacity = None;
-      charge_time = false;
       seed = engine_seed;
     }
   in
-  let engine = Backend.engine ~config:(config seed) backend in
-  let maintenance = ref None in
-  let predictor () =
-    let e = Backend.engine ~config:(config (seed + 1)) backend in
-    let system = Selectors.embed_vivaldi_engine (Rng.create (seed + 1)) e in
-    maintenance := Some e;
-    fun i j -> System.predicted system i j
-  in
-  let select =
-    match policy_kind with
-    | `Naive -> Select.naive ~seed:(seed + 23)
-    | `Vivaldi -> Select.coordinate (predictor ())
-    | `Alert -> Select.alert (predictor ())
-  in
-  let sw =
-    Swarm.create
-      ~config:{ Swarm.default_config with Swarm.seed = seed + 23 }
-      ~select ~backend ~engine ()
-  in
-  let result = Swarm.run sw in
-  let stats = Engine.stats engine in
-  let fg_probes =
-    Probe_stats.label_count stats "stream"
-    + Probe_stats.label_count stats "stream_repair"
-  in
-  let maint_probes =
-    match !maintenance with
-    | None -> 0
-    | Some e -> Probe_stats.label_count (Engine.stats e) "vivaldi"
-  in
-  (select, result, fg_probes, maint_probes)
+  let seed = ctx.Context.seed in
+  Policy_arm.stream
+    ~engine:(fun s -> Backend.engine ~config:(config s) backend)
+    ~seed
+    ~config:{ Swarm.default_config with Swarm.seed = seed + 23 }
+    backend kind
 
 let stream ctx =
   Report.section "stream"
@@ -102,11 +67,13 @@ let stream ctx =
         ]
   in
   let row kind =
-    let select, r, fg, maint = arm ctx kind in
+    let arm = arm ctx kind in
+    let r = arm.Policy_arm.result in
     let st = r.Swarm.stretches in
+    let stats = Engine.stats arm.Policy_arm.engine in
     Table.add_row table
       [
-        Select.name select;
+        Select.name arm.Policy_arm.select;
         string_of_int r.Swarm.on_time;
         string_of_int r.Swarm.missed;
         Printf.sprintf "%.4f" r.Swarm.miss_rate;
@@ -116,8 +83,10 @@ let stream ctx =
         Printf.sprintf "%.3f" r.Swarm.overhead_ratio;
         string_of_int r.Swarm.pull_hits;
         string_of_int r.Swarm.repair.Swarm.reattached;
-        string_of_int fg;
-        string_of_int maint;
+        string_of_int
+          (Probe_stats.label_count stats "stream"
+          + Probe_stats.label_count stats "stream_repair");
+        string_of_int arm.Policy_arm.maintenance_probes;
       ];
     r
   in

@@ -29,7 +29,6 @@ module Datasets = Tivaware_topology.Datasets
 module Generator = Tivaware_topology.Generator
 module Severity = Tivaware_tiv.Severity
 module Triangle = Tivaware_tiv.Triangle
-module Alert = Tivaware_tiv.Alert
 module Eval = Tivaware_tiv.Eval
 module System = Tivaware_vivaldi.System
 module Dynamic_neighbors = Tivaware_vivaldi.Dynamic_neighbors
@@ -38,6 +37,7 @@ module Ring = Tivaware_meridian.Ring
 module Experiment = Tivaware_core.Experiment
 module Selectors = Tivaware_core.Selectors
 module Penalty = Tivaware_core.Penalty
+module Policy_arm = Tivaware_core.Policy_arm
 module Engine = Tivaware_measure.Engine
 module Fault = Tivaware_measure.Fault
 module Profile = Tivaware_measure.Profile
@@ -46,8 +46,6 @@ module Dynamics = Tivaware_measure.Dynamics
 module Budget = Tivaware_measure.Budget
 module Arbiter = Tivaware_measure.Arbiter
 module Probe_stats = Tivaware_measure.Probe_stats
-module Sim = Tivaware_eventsim.Sim
-module Zipf = Tivaware_util.Zipf
 module Obs = Tivaware_obs
 module Backend = Tivaware_backend.Delay_backend
 module Synthesizer = Tivaware_topology.Synthesizer
@@ -319,22 +317,40 @@ let make_engine_config ?(labels = lazy [||]) opts ~seed =
   in
   config
 
-let make_engine m ?labels opts ~seed =
-  let config = make_engine_config ?labels opts ~seed in
-  try Engine.of_matrix ~config m
+(* Run [f], turning a library's Invalid_argument into a usage error. *)
+let or_exit f =
+  try f ()
   with Invalid_argument msg ->
     prerr_endline ("tivlab: " ^ msg);
     exit 2
 
+let make_engine m ?labels opts ~seed =
+  let config = make_engine_config ?labels opts ~seed in
+  or_exit (fun () -> Engine.of_matrix ~config m)
+
 let make_backend_engine backend ?labels opts ~seed =
   let config = make_engine_config ?labels opts ~seed in
-  try
-    let engine = Backend.engine ~config backend in
-    Backend.attach_obs backend (Engine.obs engine);
-    engine
-  with Invalid_argument msg ->
-    prerr_endline ("tivlab: " ^ msg);
-    exit 2
+  or_exit (fun () ->
+      let engine = Backend.engine ~config backend in
+      Backend.attach_obs backend (Engine.obs engine);
+      engine)
+
+(* The strict-share carve dht --stabilize, store and stream share: the
+   background plane's admission bucket is [share] of the system-wide
+   probe allowance (--probe-budget per node) and the foreground plane
+   weighs the rest.  Only the background plane asks for admission, so
+   its carve is a hard ceiling on background spend while the
+   engine-level budget still caps the aggregate.  No arbiter without a
+   budget, or with a share of 0 or 1. *)
+let strict_carve meas backend ~background ~foreground share =
+  if meas.probe_budget > 0 && share > 0. && share < 1. then begin
+    let total = float_of_int (meas.probe_budget * Backend.size backend) in
+    Some
+      (Arbiter.create
+         (Arbiter.config ~capacity:total ~rate:total
+            ~shares:[ (background, share); (foreground, 1. -. share) ]))
+  end
+  else None
 
 let print_probe_summary engine =
   Format.printf "probes: %a@." Probe_stats.pp (Engine.stats engine)
@@ -401,12 +417,7 @@ let make_backend kind ~matrix_file ~nodes ~model_size ~memo ~seed =
     (Backend.dense m, labels)
   | `Lazy ->
     let source, _ = load_or_generate matrix_file model_size seed in
-    let model =
-      try Synthesizer.analyze source
-      with Invalid_argument msg ->
-        prerr_endline ("tivlab: " ^ msg);
-        exit 2
-    in
+    let model = or_exit (fun () -> Synthesizer.analyze source) in
     let backend = Backend.lazy_synth ?memo ~seed ~size:nodes model in
     let labels = lazy (Option.get (Backend.labels backend)) in
     (backend, labels)
@@ -490,7 +501,8 @@ let vivaldi_cmd =
     let config = { System.default_config with System.dim } in
     let rng = Rng.create seed in
     let engine = make_engine m ~labels meas ~seed in
-    let system = Selectors.embed_vivaldi_engine ~config ~rounds rng engine in
+    let system = System.create_with_engine ~config rng engine in
+    System.run system ~rounds;
     if dynamic > 0 then
       Dynamic_neighbors.run system
         { Dynamic_neighbors.rounds_per_iteration = rounds; iterations = dynamic };
@@ -772,7 +784,6 @@ let run_dht_stabilize ~backend ~labels ~seed ~candidates ~lookups ~meas
     exit 2
   end;
   let engine = make_backend_engine backend ~labels meas ~seed in
-  let n = Backend.size backend in
   let overlay = Chord.build_engine ~candidates engine in
   (* Distinct key ids, deterministic in the seed. *)
   let krng = Rng.create (seed + 11) in
@@ -791,69 +802,19 @@ let run_dht_stabilize ~backend ~labels ~seed ~candidates ~lookups ~meas
   in
   let store = Chord.Store.create ~replicas overlay ~keys:key_ids in
   let arbiter =
-    if meas.probe_budget > 0 && share > 0. && share < 1. then begin
-      (* Carve the system-wide probe allowance between the maintenance
-         plane and foreground lookups; only the stabilizer asks for
-         admission, so its carve is a hard ceiling on background spend
-         while the engine-level budget still caps the aggregate. *)
-      let total = float_of_int (meas.probe_budget * n) in
-      Some
-        (Arbiter.create
-           (Arbiter.config ~capacity:total ~rate:total
-              ~shares:[ ("chord_stabilize", share); ("dht", 1. -. share) ]))
-    end
-    else None
+    strict_carve meas backend ~background:"chord_stabilize" ~foreground:"dht"
+      share
   in
   let config =
     { Chord.Stabilizer.default_config with Chord.Stabilizer.interval; fingers_per_round }
   in
   let stab =
-    try Chord.Stabilizer.create ~config ?arbiter ~store overlay engine
-    with Invalid_argument msg ->
-      prerr_endline ("tivlab: " ^ msg);
-      exit 2
+    or_exit (fun () -> Chord.Stabilizer.create ~config ?arbiter ~store overlay engine)
   in
-  let sim = Sim.create () in
-  Chord.Stabilizer.schedule stab sim;
-  let zipf = Zipf.create ~n:keys ~s:zipf_s in
-  let wrong_counter =
-    Obs.Registry.counter (Engine.obs engine) "chord.lookup_wrong_owner"
+  let w =
+    Chord.Workload.run ~stabilizer:stab ~store ~zipf_s ~lookups ~duration
+      (Rng.create (seed + 13)) overlay engine
   in
-  let ground_up node =
-    match Engine.churn engine with None -> true | Some c -> Churn.is_up c node
-  in
-  let lrng = Rng.create (seed + 13) in
-  let latencies = ref [] and hops = ref 0 in
-  let issued = ref 0 and skipped = ref 0 in
-  let correct = ref 0 and wrong = ref 0 in
-  for i = 0 to lookups - 1 do
-    let at = duration *. float_of_int (i + 1) /. float_of_int (lookups + 1) in
-    Sim.schedule_at sim at (fun () ->
-        let source = Rng.int lrng n in
-        let key = key_ids.(Zipf.sample zipf lrng) in
-        if not (ground_up source) then incr skipped
-        else begin
-          incr issued;
-          let l =
-            Chord.lookup_fn overlay
-              (fun u v -> Engine.rtt ~label:"dht" engine u v)
-              ~source ~key
-          in
-          latencies := l.Chord.latency :: !latencies;
-          hops := !hops + l.Chord.hops;
-          (* A lookup is correct when it terminates at a node that is
-             actually up (ground truth, not belief) and holds the key. *)
-          if
-            ground_up l.Chord.owner
-            && Chord.Store.holds store ~key ~node:l.Chord.owner
-          then incr correct
-          else begin
-            incr wrong;
-            Obs.Counter.add wrong_counter 1.
-          end
-        end)
-  done;
-  Sim.run sim ~until:duration;
   let t = Chord.Stabilizer.totals stab in
   Printf.printf
     "stabilize: interval=%gs fingers/round=%d candidates=%d keys=%d zipf=%.2f \
@@ -866,21 +827,25 @@ let run_dht_stabilize ~backend ~labels ~seed ~candidates ~lookups ~meas
     t.Chord.Stabilizer.revived t.Chord.Stabilizer.denied;
   Printf.printf "keys: migrated=%d copies over %d rehomes\n"
     (Chord.Store.migrated store) (Chord.Store.rehomes store);
-  let lat = Array.of_list !latencies in
+  let lat = w.Chord.Workload.latencies in
+  let issued = w.Chord.Workload.issued in
   let median = if lat = [||] then 0. else Stats.median lat in
   let p90 = if lat = [||] then 0. else Stats.percentile lat 90. in
   let hops_mean =
-    if !issued = 0 then 0. else float_of_int !hops /. float_of_int !issued
+    if issued = 0 then 0.
+    else float_of_int w.Chord.Workload.hops /. float_of_int issued
   in
   let pct =
-    if !issued = 0 then 0. else 100. *. float_of_int !correct /. float_of_int !issued
+    if issued = 0 then 0.
+    else 100. *. float_of_int w.Chord.Workload.correct /. float_of_int issued
   in
   Printf.printf
     "%d lookups (%d skipped, source down): correct=%.1f%% wrong=%d hops \
      mean=%.2f latency median=%.1f p90=%.1f ms\n"
-    !issued !skipped pct !wrong hops_mean median p90;
+    issued w.Chord.Workload.skipped pct w.Chord.Workload.wrong hops_mean median
+    p90;
   print_probe_summary engine;
-  set_gauge engine "dht.lookups" (float_of_int !issued);
+  set_gauge engine "dht.lookups" (float_of_int issued);
   set_gauge engine "dht.lookup_correct_pct" pct;
   set_gauge engine "dht.hops_mean" hops_mean;
   set_gauge engine "dht.latency_median_ms" median;
@@ -1444,56 +1409,25 @@ let store_cmd =
         seed = seed + 17;
       }
     in
-    (try Store_scenario.validate_config "tivlab store" config
-     with Invalid_argument msg ->
-       prerr_endline ("tivlab: " ^ msg);
-       exit 2);
-    let engine = make_backend_engine backend ~labels meas ~seed in
-    (* Coordinate-based policies embed through a separate maintenance
-       engine over the same backend (same measurement-plane options),
-       so the scenario engine's fault/churn streams stay identical
-       across policies and the embedding's probe bill is reported
-       separately. *)
-    let maintenance = ref None in
-    let embed () =
-      let e = make_backend_engine backend ~labels meas ~seed:(seed + 1) in
-      let sys = Selectors.embed_vivaldi_engine (Rng.create (seed + 1)) e in
-      maintenance := Some e;
-      System.predictor sys
+    let arm =
+      or_exit (fun () ->
+          Store_scenario.validate_config "tivlab store" config;
+          Policy_arm.store
+            ?arbiter:
+              (strict_carve meas backend ~background:"store_repair"
+                 ~foreground:"store" repair_share)
+            ~engine:(fun seed -> make_backend_engine backend ~labels meas ~seed)
+            ~seed ~config backend policy)
     in
-    let pol =
-      match policy with
-      | `Naive -> Store_policy.naive ()
-      | `Vivaldi -> Store_policy.coordinate (embed ())
-      | `Meridian -> Store_policy.probe ()
-      | `Alert -> Store_policy.alert (embed ())
-    in
-    let arbiter =
-      if meas.probe_budget > 0 && repair_share > 0. && repair_share < 1. then begin
-        (* Same carve as dht --stabilize: the repair plane's admission
-           bucket is a strict share of the system-wide allowance. *)
-        let total = float_of_int (meas.probe_budget * Backend.size backend) in
-        Some
-          (Arbiter.create
-             (Arbiter.config ~capacity:total ~rate:total
-                ~shares:
-                  [ ("store_repair", repair_share); ("store", 1. -. repair_share) ]))
-      end
-      else None
-    in
-    let sc =
-      try Store_scenario.create ?arbiter ~config ~policy:pol ~backend ~engine ()
-      with Invalid_argument msg ->
-        prerr_endline ("tivlab: " ^ msg);
-        exit 2
-    in
-    let ring = Store_scenario.ring sc in
-    let r = Store_scenario.run sc in
+    let engine = arm.Policy_arm.engine and r = arm.Policy_arm.result in
+    let sc = arm.Policy_arm.scenario in
     Printf.printf
       "store: policy=%s backend=%s devices=%d zones=%d parts=%d replicas=%d \
        objects=%d zipf=%.2f\n"
-      (Store_policy.name pol) (Backend.kind_name backend) devices zones
-      (Store_ring.parts ring) replicas objects zipf_s;
+      (Store_policy.name (Store_scenario.policy sc))
+      (Backend.kind_name backend) devices zones
+      (Store_ring.parts (Store_scenario.ring sc))
+      replicas objects zipf_s;
     Printf.printf
       "store: reads issued=%d completed=%d failed=%d skipped=%d handoffs=%d \
        dead_attempts=%d\n"
@@ -1504,11 +1438,7 @@ let store_cmd =
     let mean = if lat = [||] then 0. else Stats.mean lat in
     let p50 = if lat = [||] then 0. else Stats.median lat in
     let p99 = if lat = [||] then 0. else Stats.percentile lat 99. in
-    let maint_probes =
-      match !maintenance with
-      | None -> 0
-      | Some e -> Probe_stats.label_count (Engine.stats e) "vivaldi"
-    in
+    let maint_probes = arm.Policy_arm.maintenance_probes in
     Printf.printf
       "store: latency mean=%.1f p50=%.1f p99=%.1f ms  policy probes=%d  \
        maintenance probes=%d\n"
@@ -1637,54 +1567,24 @@ let stream_cmd =
         seed = seed + 23;
       }
     in
-    (try Stream_swarm.validate_config "tivlab stream" config
-     with Invalid_argument msg ->
-       prerr_endline ("tivlab: " ^ msg);
-       exit 2);
-    let engine = make_backend_engine backend ~labels meas ~seed in
-    (* Same discipline as store: coordinate-based policies embed through
-       a separate maintenance engine over the same backend, so the swarm
-       engine's fault/churn streams stay identical across policies and
-       the embedding's probe bill is reported separately. *)
-    let maintenance = ref None in
-    let embed () =
-      let e = make_backend_engine backend ~labels meas ~seed:(seed + 1) in
-      let sys = Selectors.embed_vivaldi_engine (Rng.create (seed + 1)) e in
-      maintenance := Some e;
-      System.predictor sys
+    let arm =
+      or_exit (fun () ->
+          Stream_swarm.validate_config "tivlab stream" config;
+          Policy_arm.stream
+            ?arbiter:
+              (strict_carve meas backend ~background:"stream_repair"
+                 ~foreground:"stream" repair_share)
+            ~engine:(fun seed -> make_backend_engine backend ~labels meas ~seed)
+            ~seed ~config backend policy)
     in
-    let select =
-      match policy with
-      | `Naive -> Stream_select.naive ~seed:(seed + 23)
-      | `Vivaldi -> Stream_select.coordinate (embed ())
-      | `Alert -> Stream_select.alert (embed ())
-    in
-    let arbiter =
-      if meas.probe_budget > 0 && repair_share > 0. && repair_share < 1. then begin
-        let total = float_of_int (meas.probe_budget * Backend.size backend) in
-        Some
-          (Arbiter.create
-             (Arbiter.config ~capacity:total ~rate:total
-                ~shares:
-                  [
-                    ("stream_repair", repair_share);
-                    ("stream", 1. -. repair_share);
-                  ]))
-      end
-      else None
-    in
-    let sw =
-      try Stream_swarm.create ?arbiter ~config ~select ~backend ~engine ()
-      with Invalid_argument msg ->
-        prerr_endline ("tivlab: " ^ msg);
-        exit 2
-    in
-    let r = Stream_swarm.run sw in
+    let engine = arm.Policy_arm.engine and r = arm.Policy_arm.result in
     Printf.printf
       "stream: policy=%s backend=%s members=%d source=%d chunks=%d \
        chunk=%.0fms deadline=%.0fms degree=%d\n"
-      (Stream_select.name select) (Backend.kind_name backend) members
-      (Stream_swarm.source sw) r.Stream_swarm.chunks chunk_ms deadline_ms degree;
+      (Stream_select.name arm.Policy_arm.select) (Backend.kind_name backend)
+      members
+      (Stream_swarm.source arm.Policy_arm.swarm)
+      r.Stream_swarm.chunks chunk_ms deadline_ms degree;
     Printf.printf
       "stream: deadlines on_time=%d missed=%d down=%d miss_rate=%.4f\n"
       r.Stream_swarm.on_time r.Stream_swarm.missed
@@ -1717,11 +1617,7 @@ let stream_cmd =
        depth=%d fanout=%d\n"
       r.Stream_swarm.joined members tm.Multicast.mean_edge_ms
       tm.Multicast.median_stretch tm.Multicast.max_depth tm.Multicast.max_fanout;
-    let maint_probes =
-      match !maintenance with
-      | None -> 0
-      | Some e -> Probe_stats.label_count (Engine.stats e) "vivaldi"
-    in
+    let maint_probes = arm.Policy_arm.maintenance_probes in
     Printf.printf "stream: maintenance probes=%d\n" maint_probes;
     print_probe_summary engine;
     set_gauge engine "stream.miss_rate" r.Stream_swarm.miss_rate;

@@ -7,6 +7,7 @@ module Ring = Tivaware_meridian.Ring
 module Overlay = Tivaware_meridian.Overlay
 module Tiv_aware = Tivaware_meridian.Tiv_aware
 module Engine = Tivaware_measure.Engine
+module Probe_stats = Tivaware_measure.Probe_stats
 
 let default_rounds = 200
 
@@ -19,6 +20,11 @@ let embed_vivaldi_engine ?config ?(rounds = default_rounds) rng engine =
   let system = System.create_with_engine ?config rng engine in
   System.run system ~rounds;
   system
+
+let embed_maintenance engine ~seed =
+  let e = engine (seed + 1) in
+  let system = embed_vivaldi_engine (Rng.create (seed + 1)) e in
+  (System.predictor system, Probe_stats.label_count (Engine.stats e) "vivaldi")
 
 let normalize (i, j) = if i < j then (i, j) else (j, i)
 

@@ -23,6 +23,16 @@ val embed_vivaldi_engine :
 (** As {!embed_vivaldi}, but probing through a measurement-plane
     engine (loss/jitter/budget-aware embedding). *)
 
+val embed_maintenance :
+  (int -> Tivaware_measure.Engine.t) -> seed:int -> (int -> int -> float) * int
+(** [embed_maintenance engine ~seed] embeds Vivaldi through a separate
+    maintenance engine [engine (seed + 1)], with the embedding's RNG
+    seeded [seed + 1] as well, and returns the embedding's predictor
+    with its probe bill (the maintenance engine's ["vivaldi"] label
+    count).  Scenario runs pay for coordinate-based policies this way,
+    so the scenario engine's fault and churn streams stay identical
+    across policies and the embedding cost is reported apart. *)
+
 val embed_vivaldi_filtered :
   ?config:Tivaware_vivaldi.System.config ->
   ?rounds:int ->

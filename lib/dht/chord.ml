@@ -796,3 +796,70 @@ module Stabilizer = struct
           true)
     done
 end
+
+module Workload = struct
+  module Engine = Tivaware_measure.Engine
+  module Churn = Tivaware_measure.Churn
+  module Obs = Tivaware_obs
+  module Sim = Tivaware_eventsim.Sim
+  module Rng = Tivaware_util.Rng
+  module Zipf = Tivaware_util.Zipf
+
+  type totals = {
+    issued : int;
+    skipped : int;
+    correct : int;
+    wrong : int;
+    hops : int;
+    latencies : float array;
+  }
+
+  let run ?stabilizer ~store ~zipf_s ~lookups ~duration rng chord engine =
+    let sim = Sim.create () in
+    (match stabilizer with
+    | Some stab -> Stabilizer.schedule stab sim
+    | None -> Sim.on_advance sim (fun time -> Engine.advance_to engine time));
+    let zipf = Zipf.create ~n:(Store.key_count store) ~s:zipf_s in
+    let wrong_counter =
+      Obs.Registry.counter (Engine.obs engine) "chord.lookup_wrong_owner"
+    in
+    let ground_up node =
+      match Engine.churn engine with None -> true | Some c -> Churn.is_up c node
+    in
+    let n = size chord in
+    let latencies = ref [] and hops = ref 0 in
+    let issued = ref 0 and skipped = ref 0 in
+    let correct = ref 0 and wrong = ref 0 in
+    for i = 0 to lookups - 1 do
+      let at = duration *. float_of_int (i + 1) /. float_of_int (lookups + 1) in
+      Sim.schedule_at sim at (fun () ->
+          let source = Rng.int rng n in
+          let key = Store.key store (Zipf.sample zipf rng) in
+          if not (ground_up source) then incr skipped
+          else begin
+            incr issued;
+            let l =
+              lookup_fn chord
+                (fun u v -> Engine.rtt ~label:"dht" engine u v)
+                ~source ~key
+            in
+            latencies := l.latency :: !latencies;
+            hops := !hops + l.hops;
+            if ground_up l.owner && Store.holds store ~key ~node:l.owner then
+              incr correct
+            else begin
+              incr wrong;
+              Obs.Counter.add wrong_counter 1.
+            end
+          end)
+    done;
+    Sim.run sim ~until:duration;
+    {
+      issued = !issued;
+      skipped = !skipped;
+      correct = !correct;
+      wrong = !wrong;
+      hops = !hops;
+      latencies = Array.of_list (List.rev !latencies);
+    }
+end

@@ -294,3 +294,42 @@ module Stabilizer : sig
       time in engine seconds) so churn and token refill move with
       simulated time. *)
 end
+
+(** {2 Zipf lookup workload} *)
+
+(** The key-service workload the stabilization experiments replay: a
+    fixed number of Zipf-popular lookups spread evenly over simulated
+    time while (optionally) the {!Stabilizer} maintains the ring. *)
+module Workload : sig
+  type totals = {
+    issued : int;  (** lookups whose source was up *)
+    skipped : int;  (** lookups dropped because the source was down *)
+    correct : int;
+        (** ended at a node that is actually up (ground truth, not
+            belief) and holds the key *)
+    wrong : int;  (** issued but not correct *)
+    hops : int;  (** summed over issued lookups *)
+    latencies : float array;  (** per issued lookup, in event order *)
+  }
+
+  val run :
+    ?stabilizer:Stabilizer.t ->
+    store:Store.t ->
+    zipf_s:float ->
+    lookups:int ->
+    duration:float ->
+    Tivaware_util.Rng.t ->
+    chord ->
+    Tivaware_measure.Engine.t ->
+    totals
+  (** Plays [lookups] lookups on a fresh simulator, lookup [i] at
+      [duration * (i+1) / (lookups+1)]: each draws its source node
+      uniformly, then its key from [store]'s keys by Zipf rank
+      (exponent [zipf_s]), both from the one generator, and routes
+      with probes on the ["dht"] label.  With [stabilizer] its rounds
+      are scheduled on the same simulator first; without one the
+      engine clock is still slaved to simulated time, so churn moves
+      as it would under stabilization.  Every wrong lookup also bumps
+      the [chord.lookup_wrong_owner] counter in the engine's
+      registry.  The simulator runs until [duration]. *)
+end

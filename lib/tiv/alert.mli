@@ -41,6 +41,15 @@ val is_alert :
   ratios:Tivaware_delay_space.Matrix.t -> threshold:float -> int -> int -> bool
 (** [false] when the edge or its ratio is missing. *)
 
+val default_threshold : float
+(** 0.5 — an edge measured at more than twice its predicted distance
+    is flagged as likely-severe.  The default of the store and stream
+    alert policies. *)
+
+val validate_threshold : string -> float -> unit
+(** [validate_threshold ctx t] raises [Invalid_argument], prefixed
+    with [ctx], unless [t] is positive and finite. *)
+
 val alert_pair :
   ?label:string ->
   engine:Tivaware_measure.Engine.t ->

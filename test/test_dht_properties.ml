@@ -36,6 +36,7 @@ module Probe_stats = Tivaware_measure.Probe_stats
 module Sim = Tivaware_eventsim.Sim
 module Chord = Tivaware_dht.Chord
 module Id_space = Tivaware_dht.Id_space
+module Obs = Tivaware_obs
 
 let prop_seed =
   match Sys.getenv_opt "TIVAWARE_PROP_SEED" with
@@ -358,6 +359,60 @@ let test_scheduled_determinism () =
   checkb "the run did work" true (t1.Chord.Stabilizer.rounds > 0)
 
 (* ------------------------------------------------------------------ *)
+(* Zipf lookup workload                                                *)
+
+let lookups = 120
+
+let workload_run ?stabilize ?churn () =
+  let e = engine ?churn ~seed:13 () in
+  let chord = Chord.build_engine ~successor_list e in
+  let store = Chord.Store.create ~replicas:2 chord ~keys:(make_keys 37 32) in
+  let stabilizer =
+    Option.map
+      (fun interval ->
+        Chord.Stabilizer.create
+          ~config:{ Chord.Stabilizer.default_config with Chord.Stabilizer.interval }
+          ~store chord e)
+      stabilize
+  in
+  let w =
+    Chord.Workload.run ?stabilizer ~store ~zipf_s:0.9 ~lookups ~duration:60.
+      (rng 43) chord e
+  in
+  (w, e)
+
+let check_accounting name (w, e) =
+  let open Chord.Workload in
+  checki (name ^ ": issued + skipped = lookups") lookups (w.issued + w.skipped);
+  checki (name ^ ": correct + wrong = issued") w.issued (w.correct + w.wrong);
+  checki (name ^ ": one latency per issued lookup") w.issued
+    (Array.length w.latencies);
+  checki (name ^ ": wrong lookups are counted") w.wrong
+    (int_of_float
+       (Obs.Counter.value
+          (Obs.Registry.counter (Engine.obs e) "chord.lookup_wrong_owner")))
+
+let test_workload () =
+  let quiet = workload_run () in
+  check_accounting "quiet" quiet;
+  checki "quiet ring: nothing skipped" 0 (fst quiet).Chord.Workload.skipped;
+  checki "quiet ring: every lookup correct" lookups
+    (fst quiet).Chord.Workload.correct;
+  let churn = burst_churn ((prop_seed * 43) + 5) in
+  let off = workload_run ~churn () in
+  let on = workload_run ~stabilize:2. ~churn () in
+  check_accounting "unstabilized" off;
+  check_accounting "stabilized" on;
+  checkb "churn skips some lookups" true ((fst off).Chord.Workload.skipped > 0);
+  (* Sources are drawn from the workload generator and judged against
+     ground-truth churn, so stabilization cannot change which lookups
+     are skipped. *)
+  checki "same skipped lookups with or without stabilization"
+    (fst off).Chord.Workload.skipped (fst on).Chord.Workload.skipped;
+  checkb "replay is bit-identical" true
+    (compare (fst (workload_run ~stabilize:2. ~churn ())) (fst on) = 0)
+
+(* ------------------------------------------------------------------ *)
 (* Validation                                                          *)
 
 let raises_invalid f =
@@ -433,6 +488,11 @@ let () =
         [
           Alcotest.test_case "scheduled run is reproducible" `Quick
             test_scheduled_determinism;
+        ] );
+      ( "workload",
+        [
+          Alcotest.test_case "lookup accounting and replay" `Quick
+            test_workload;
         ] );
       ( "validation",
         [ Alcotest.test_case "config and store guards" `Quick test_validation ] );

@@ -355,8 +355,13 @@ let test_validation () =
           { Ring.node = 0; zone = 0; weight = 1. };
           { Ring.node = 1; zone = 1; weight = 1. };
         |]);
-  expect_invalid "threshold" "threshold" (fun () ->
-      Policy.alert ~threshold:0. (fun _ _ -> 1.))
+  List.iter
+    (fun threshold ->
+      expect_invalid
+        (Printf.sprintf "threshold %g" threshold)
+        "threshold"
+        (fun () -> Policy.alert ~threshold (fun _ _ -> 1.)))
+    [ 0.; -1.; nan; infinity ]
 
 (* --- scenario determinism --- *)
 

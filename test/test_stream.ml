@@ -266,9 +266,13 @@ let test_validate_config () =
    with
   | _ -> Alcotest.fail "members > delay-space nodes must be rejected"
   | exception Invalid_argument _ -> ());
-  match Select.alert ~threshold:0. true_delay with
-  | _ -> Alcotest.fail "non-positive alert threshold must be rejected"
-  | exception Invalid_argument _ -> ()
+  List.iter
+    (fun threshold ->
+      match Select.alert ~threshold true_delay with
+      | _ ->
+        Alcotest.failf "alert threshold %g must be rejected" threshold
+      | exception Invalid_argument _ -> ())
+    [ 0.; -1.; nan; infinity ]
 
 (* ------------------------------------------------------------------ *)
 (* Arbiter carve: a starved repair plane is denied, and counted        *)

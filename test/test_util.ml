@@ -7,7 +7,6 @@ module Binned = Tivaware_util.Binned
 module Vec = Tivaware_util.Vec
 module Linalg = Tivaware_util.Linalg
 module Pqueue = Tivaware_util.Pqueue
-module Union_find = Tivaware_util.Union_find
 module Welford = Tivaware_util.Welford
 module Table = Tivaware_util.Table
 module Ascii_plot = Tivaware_util.Ascii_plot
@@ -476,38 +475,6 @@ let prop_pqueue_sorted =
       out = List.sort compare prios)
 
 (* ------------------------------------------------------------------ *)
-(* Union_find                                                          *)
-
-let test_union_find_basics () =
-  let uf = Union_find.create 5 in
-  Alcotest.(check int) "initial sets" 5 (Union_find.count_sets uf);
-  Alcotest.(check bool) "union new" true (Union_find.union uf 0 1);
-  Alcotest.(check bool) "union existing" false (Union_find.union uf 1 0);
-  Alcotest.(check bool) "same" true (Union_find.same uf 0 1);
-  Alcotest.(check bool) "not same" false (Union_find.same uf 0 2);
-  Alcotest.(check int) "four sets" 4 (Union_find.count_sets uf)
-
-let prop_union_find_transitive =
-  qcheck "union transitivity"
-    QCheck2.Gen.(list_size (int_range 0 50) (pair (int_range 0 19) (int_range 0 19)))
-    (fun unions ->
-      let uf = Union_find.create 20 in
-      List.iter (fun (a, b) -> ignore (Union_find.union uf a b)) unions;
-      (* same is an equivalence: check transitivity over a sample. *)
-      List.for_all
-        (fun a ->
-          List.for_all
-            (fun b ->
-              List.for_all
-                (fun c ->
-                  if Union_find.same uf a b && Union_find.same uf b c then
-                    Union_find.same uf a c
-                  else true)
-                [ 0; 5; 10 ])
-            [ 1; 7; 19 ])
-        [ 2; 3; 15 ])
-
-(* ------------------------------------------------------------------ *)
 (* Welford                                                             *)
 
 let prop_welford_matches_stats =
@@ -786,11 +753,6 @@ let () =
           Alcotest.test_case "fifo ties" `Quick test_pqueue_fifo_ties;
           Alcotest.test_case "clear" `Quick test_pqueue_clear;
           prop_pqueue_sorted;
-        ] );
-      ( "union_find",
-        [
-          Alcotest.test_case "basics" `Quick test_union_find_basics;
-          prop_union_find_transitive;
         ] );
       ( "welford",
         [
