@@ -260,6 +260,40 @@ let test_equiv_alert () =
 (* ------------------------------------------------------------------ *)
 (* Lazy backend                                                        *)
 
+(* Known answers on a 100k-node backend, generated before the pair-seed
+   mix moved into Rng: indices above 2^16 and both orders of a pair.
+   Rendered with %h, so a one-ulp change fails. *)
+let test_lazy_known_answers () =
+  let b = Backend.lazy_synth ~seed:2007 ~size:100_000 (ds2_model 5) in
+  List.iter
+    (fun (i, j, expected) ->
+      Alcotest.(check string)
+        (Printf.sprintf "query %d %d" i j)
+        expected
+        (Printf.sprintf "%h" (Backend.query b i j)))
+    [
+    (0, 1, "0x1.98717e8c5ffc8p+6");
+    (1, 0, "0x1.98717e8c5ffc8p+6");
+    (17, 93, "0x1.a02b063179e63p+6");
+    (93, 17, "0x1.a02b063179e63p+6");
+    (2, 3, "0x1.fb95e3d9c8068p+3");
+    (0, 99999, "0x1.88d906987b966p+6");
+    (99999, 0, "0x1.88d906987b966p+6");
+    (65535, 65536, "0x1.ee0c9a204a5acp+2");
+    (65536, 65537, "0x1.72b2b58e50996p+6");
+    (131, 65537, "0x1.2c6e87678b79cp+3");
+    (70000, 3, "0x1.60c5e47f4a92bp+4");
+    (12345, 98765, "0x1.a67ae3c691e33p+4");
+    (98765, 12345, "0x1.a67ae3c691e33p+4");
+    (50000, 50001, "0x1.11358b386dd5fp+7");
+    (99998, 99999, "0x1.bfc9931ace526p+6");
+    (77777, 88888, "0x1.879cbd59e82b7p+6");
+    (40000, 90000, "0x1.17aba050b6369p+9");
+    (65536, 99999, "0x1.046d2940a5646p+7");
+    (31337, 71717, "0x1.c9f9f1bcf1ebep+4");
+    (99999, 65536, "0x1.046d2940a5646p+7");
+    ]
+
 let test_lazy_determinism () =
   let model = ds2_model 40 in
   let b = Backend.lazy_synth ~seed:41 ~size:200 model in
@@ -555,6 +589,7 @@ let () =
       ( "lazy",
         [
           Alcotest.test_case "determinism" `Quick test_lazy_determinism;
+          Alcotest.test_case "known answers" `Quick test_lazy_known_answers;
           Alcotest.test_case "labels match eager" `Quick test_lazy_labels_match_eager;
           Alcotest.test_case "memo bound" `Quick test_lazy_memo_bound;
           Alcotest.test_case "validation" `Quick test_lazy_validation;

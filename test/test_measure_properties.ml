@@ -634,6 +634,131 @@ let test_adaptive_retry_budget_bounds () =
     checki "recovered link needs none again" 0 (Fault.retry_budget f 0 1)
   done
 
+(* Model check of the per-link loss estimator against the reference it
+   replaced: one Hashtbl cell [|ewma; count|] per directed link, keyed
+   on [i * n + j], shrunk toward the source node's aggregate.  Random
+   record / read sequences under [Fault.adaptive], with [n] up to
+   100 000 (keys past 2^31) and, in most cases, several hundred distinct
+   links, so the table grows at least three times.  Every estimate must
+   be bit-identical ([Float.equal]) and every retry budget equal. *)
+module Ref_loss = struct
+  type t = { n : int; links : (int, float array) Hashtbl.t; nodes : float array }
+
+  let alpha = 0.1
+  let prior = 5.
+  let create n = { n; links = Hashtbl.create 64; nodes = Array.make n 0. }
+  let in_range t i j = i >= 0 && i < t.n && j >= 0 && j < t.n
+  let ewma prev sample = (alpha *. sample) +. ((1. -. alpha) *. prev)
+
+  let record t i j ~lost =
+    if in_range t i j then begin
+      let key = (i * t.n) + j in
+      let cell =
+        match Hashtbl.find_opt t.links key with
+        | Some c -> c
+        | None ->
+          let c = [| 0.; 0. |] in
+          Hashtbl.add t.links key c;
+          c
+      in
+      let sample = if lost then 1. else 0. in
+      cell.(0) <- ewma cell.(0) sample;
+      cell.(1) <- cell.(1) +. 1.;
+      t.nodes.(i) <- ewma t.nodes.(i) sample
+    end
+
+  let estimated t i j =
+    if not (in_range t i j) then 0.
+    else
+      match Hashtbl.find_opt t.links ((i * t.n) + j) with
+      | Some cell ->
+        let w = cell.(1) /. (cell.(1) +. prior) in
+        (w *. cell.(0)) +. ((1. -. w) *. t.nodes.(i))
+      | None -> t.nodes.(i)
+
+  let budget t ~retries ~target_failure i j =
+    let loss = estimated t i j in
+    let needed =
+      if loss <= target_failure then 0
+      else if loss >= 1. then max_int
+      else begin
+        let r = ceil (log target_failure /. log loss) -. 1. in
+        if Float.is_nan r || r > 1e9 then max_int else max 0 (int_of_float r)
+      end
+    in
+    min retries needed
+end
+
+type loss_op = Record of int * int * bool | Read of int * int
+
+let gen_loss_case =
+  let open QCheck2.Gen in
+  let* n = frequency [ (1, int_range 2 40); (4, int_range 50_000 100_000) ] in
+  let* retries = int_range 1 6 in
+  let* target_failure = float_range 0.001 0.2 in
+  let* lossy = float_range 0. 1. in
+  (* Out-of-range indices too: both calls must ignore them alike. *)
+  let node = frequency [ (30, int_range 0 (n - 1)); (1, int_range (-2) (n + 2)) ] in
+  let* pool = array_size (int_range 400 900) (pair node node) in
+  let link = map (fun k -> pool.(k)) (int_range 0 (Array.length pool - 1)) in
+  let lost = map (fun u -> u < lossy) (float_range 0. 1.) in
+  let op =
+    frequency
+      [
+        (3, map2 (fun (i, j) l -> Record (i, j, l)) link lost);
+        (1, map (fun (i, j) -> Read (i, j)) link);
+      ]
+  in
+  (* Every pool link is recorded once, then random traffic follows. *)
+  let first = Array.to_list pool in
+  let* first_lost = list_repeat (List.length first) lost in
+  let* rest = list_size (int_range 100 1500) op in
+  pure
+    ( n,
+      retries,
+      target_failure,
+      List.map2 (fun (i, j) l -> Record (i, j, l)) first first_lost @ rest )
+
+let prop_loss_estimator_matches_model =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:60 ~name:"loss estimator = reference model"
+       gen_loss_case (fun (n, retries, target_failure, ops) ->
+         let fail fmt = QCheck2.Test.fail_reportf fmt in
+         let config =
+           {
+             Fault.default with
+             Fault.retries;
+             policy = Fault.adaptive ~target_failure ();
+           }
+         in
+         let f = Fault.create ~config (Rng.create 1) ~n in
+         let model = Ref_loss.create n in
+         let check step i j =
+           let got = Fault.estimated_loss f i j
+           and want = Ref_loss.estimated model i j in
+           if not (Float.equal got want) then
+             fail "step %d: estimated_loss %d %d = %h, model %h" step i j got
+               want;
+           let got = Fault.retry_budget f i j
+           and want = Ref_loss.budget model ~retries ~target_failure i j in
+           if got <> want then
+             fail "step %d: retry_budget %d %d = %d, model %d" step i j got want
+         in
+         List.iteri
+           (fun step op ->
+             match op with
+             | Record (i, j, lost) ->
+               Fault.record_outcome f i j ~lost;
+               Ref_loss.record model i j ~lost;
+               check step i j
+             | Read (i, j) -> check step i j)
+           ops;
+         (* Every link the model knows still reads back identically. *)
+         Hashtbl.iter
+           (fun key _ -> check (List.length ops) (key / n) (key mod n))
+           model.Ref_loss.links;
+         true))
+
 (* ------------------------------------------------------------------ *)
 (* Per-link profiles                                                    *)
 
@@ -1159,6 +1284,7 @@ let () =
             test_uniform_profile_matches_global_model;
           Alcotest.test_case "per-link estimator converges" `Quick
             test_per_link_estimate_converges;
+          prop_loss_estimator_matches_model;
           Alcotest.test_case "profile validation names the link" `Quick
             test_profile_validation_names_link;
         ] );

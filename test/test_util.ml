@@ -153,6 +153,119 @@ let prop_sample_indices =
           && Array.for_all (fun i -> i >= 0 && i < n) s)
         [ 0; min 1 n; n / 7; n / 2; n ])
 
+(* Known answers, generated before the generator's state moved into an
+   unboxed byte buffer: the first 16 outputs of every draw, rendered
+   exactly (int64 in hex, floats with %h), for seeds across the int
+   range.  The tests above compare streams with each other; these catch
+   a change that alters every stream the same way. *)
+let kat_seeds = [ 0; 1; -1; 2007; max_int ]
+
+let first16 f = String.concat " " (List.init 16 (fun _ -> f ()))
+let hex64 r = Printf.sprintf "%Lx" (Rng.int64 r)
+let ints a = String.concat " " (Array.to_list (Array.map string_of_int a))
+
+(* "split" and "copy" end with the parent's next output after the
+   child's 16, so the parent's trajectory is pinned too. *)
+let kat_draws =
+  [
+    ("int64", fun r -> first16 (fun () -> hex64 r));
+    ("int", fun r -> first16 (fun () -> string_of_int (Rng.int r 1_000_003)));
+    ("float", fun r -> first16 (fun () -> Printf.sprintf "%h" (Rng.float r 1.)));
+    ( "bernoulli",
+      fun r -> String.init 16 (fun _ -> if Rng.bernoulli r 0.3 then '1' else '0') );
+    ( "gauss",
+      fun r ->
+        first16 (fun () -> Printf.sprintf "%h" (Rng.gauss r ~mean:0. ~stddev:1.)) );
+    ( "split",
+      fun r ->
+        let c = Rng.split r in
+        first16 (fun () -> hex64 c) ^ " / " ^ hex64 r );
+    ( "copy",
+      fun r ->
+        ignore (Rng.int64 r);
+        let c = Rng.copy r in
+        first16 (fun () -> hex64 c) ^ " / " ^ hex64 r );
+    ("permutation", fun r -> ints (Rng.permutation r 16));
+    ("sample_indices dense", fun r -> ints (Rng.sample_indices r ~n:20 ~k:16));
+    ( "sample_indices sparse",
+      fun r -> ints (Rng.sample_indices r ~n:1_000_000 ~k:16) );
+  ]
+
+let kat_expected =
+  [
+    ("int64", 0, "e220a8397b1dcdaf 6e789e6aa1b965f4 6c45d188009454f f88bb8a8724c81ec 1b39896a51a8749b 53cb9f0c747ea2ea 2c829abe1f4532e1 c584133ac916ab3c 3ee5789041c98ac3 f3b8488c368cb0a6 657eecdd3cb13d09 c2d326e0055bdef6 8621a03fe0bbdb7b 8e1f7555983aa92f b54e0f1600cc4d19 84bb3f97971d80ab");
+    ("int64", 1, "910a2dec89025cc1 beeb8da1658eec67 f893a2eefb32555e 71c18690ee42c90b 71bb54d8d101b5b9 c34d0bff90150280 e099ec6cd7363ca5 85e7bb0f12278575 491718de357e3da8 cb435c8e74616796 6775dc7701564f61 9afcd44d14cf8bfe 7476cf8a4baa5dc0 87b341d690d7a28a 6f9b6dae6f4c57a8 2ac2ce17a5794a3b");
+    ("int64", (-1), "e4d971771b652c20 e99ff867dbf682c9 382ff84cb27281e9 6d1db36ccba982d2 b4a0472e578069ae d31dadbda438bb33 f14f2cf802083fa5 405da438a39e8064 c4fea708156e0c84 31e50fe7bbd6e1c 3b234961e71cf15 ce755952d3025da7 1c9558bd006badb dd90e10f6f7c1c8a 354d0df8b25878c1 aceea13ca07e34e8");
+    ("int64", 2007, "accac86204ddbe19 e5dbb7214cda4435 31ba1b2c3df295fc 6f5c1fa86b05751d 3e738513b8f5e0aa a2879052ea927a56 7b01a09749c1156d ef07219136e11014 5f197884156a6d6c 8d1cd25f90f5e3f2 28d72d00618fbede 2063d1923cfa23a4 9c81c5a33b7757b3 b35930f74af8683f 1f09030f7e38cc3f 88ec9a8c1d680e76");
+    ("int64", max_int, "43df0885536978a6 101018cc4a4cadfd f7123db96bb11521 6eb32f7ee5175c16 b954958d2f637748 e07958afd6d62eb7 bce9aaa54afdb47e 7eea021a2857177 1f352ff21e902313 3af8cf713f523122 62eb064f3249c986 45aa5934ee2760c9 3a25649334650c4a 7f808d5a4cc20242 ac220bfb975459a5 4caf495e78571c0e");
+    ("int", 0, "1248 607872 218951 899533 285792 425248 273623 710615 482413 393695 605590 282667 789622 838252 646090 225386");
+    ("int", 1, "436383 652540 556454 322844 253574 594335 365055 925014 715265 479072 246728 851348 868519 380766 269051 810709");
+    ("int", (-1), "13903 56817 515118 707109 102799 370548 120999 538874 765257 699285 937351 765534 118854 713734 600921 30890");
+    ("int", 2007, "969458 287414 931959 938419 858817 682004 293786 709067 614083 727815 342777 284249 301926 543776 291979 434664");
+    ("int", max_int, "872517 614747 450663 52017 210538 789331 521894 496981 526408 977821 663515 823062 248911 219671 621497 883435");
+    ("float", 0, "0x1.c4415072f63b9p-1 0x1.b9e279aa86e58p-2 0x1.b1174620025p-6 0x1.f1177150e499p-1 0x1.b39896a51a87p-4 0x1.4f2e7c31d1fa8p-2 0x1.6414d5f0fa298p-3 0x1.8b082675922d5p-1 0x1.f72bc4820e4c4p-3 0x1.e77091186d196p-1 0x1.95fbb374f2c4ep-2 0x1.85a64dc00ab7bp-1 0x1.0c43407fc177bp-1 0x1.1c3eeaab30755p-1 0x1.6a9c1e2c01989p-1 0x1.09767f2f2e3bp-1");
+    ("float", 1, "0x1.22145bd91204bp-1 0x1.7dd71b42cb1ddp-1 0x1.f12745ddf664ap-1 0x1.c7061a43b90b2p-2 0x1.c6ed53634406cp-2 0x1.869a17ff202ap-1 0x1.c133d8d9ae6c7p-1 0x1.0bcf761e244fp-1 0x1.245c6378d5f8ep-2 0x1.9686b91ce8c2cp-1 0x1.9dd771dc05592p-2 0x1.35f9a89a299f1p-1 0x1.d1db3e292ea96p-2 0x1.0f6683ad21af4p-1 0x1.be6db6b9bd314p-2 0x1.561670bd2bca4p-3");
+    ("float", (-1), "0x1.c9b2e2ee36ca5p-1 0x1.d33ff0cfb7edp-1 0x1.c17fc2659394p-3 0x1.b476cdb32ea6p-2 0x1.69408e5caf00dp-1 0x1.a63b5b7b48717p-1 0x1.e29e59f004107p-1 0x1.017690e28e7ap-2 0x1.89fd4e102adc1p-1 0x1.8f287f3ddeb4p-7 0x1.d91a4b0f38e4p-7 0x1.9ceab2a5a604bp-1 0x1.c9558bd006b8p-8 0x1.bb21c21edef83p-1 0x1.aa686fc592c3cp-3 0x1.59dd427940fc6p-1");
+    ("float", 2007, "0x1.599590c409bb7p-1 0x1.cbb76e4299b48p-1 0x1.8dd0d961ef948p-3 0x1.bd707ea1ac15cp-2 0x1.f39c289dc7afp-3 0x1.450f20a5d524fp-1 0x1.ec06825d27044p-2 0x1.de0e43226dc22p-1 0x1.7c65e21055a9ap-2 0x1.1a39a4bf21ebcp-1 0x1.46b968030c7dcp-3 0x1.031e8c91e7d1p-3 0x1.39038b4676eeap-1 0x1.66b261ee95f0dp-1 0x1.f09030f7e38c8p-4 0x1.11d935183ad01p-1");
+    ("float", max_int, "0x1.0f7c22154da5ep-2 0x1.01018cc4a4ca8p-4 0x1.ee247b72d7622p-1 0x1.baccbdfb945d6p-2 0x1.72a92b1a5ec6ep-1 0x1.c0f2b15fadac5p-1 0x1.79d3554a95fb6p-1 0x1.fba80868a15cp-6 0x1.f352ff21e902p-4 0x1.d7c67b89fa918p-3 0x1.8bac193cc9272p-2 0x1.16a964d3b89d8p-2 0x1.d12b2499a3284p-3 0x1.fe0235693308p-2 0x1.584417f72ea8bp-1 0x1.32bd2579e15c6p-2");
+    ("bernoulli", 0, "0010101010000000");
+    ("bernoulli", 1, "0000000010000001");
+    ("bernoulli", (-1), "0010000101101010");
+    ("bernoulli", 2007, "0010100000110010");
+    ("bernoulli", max_int, "1100000111011001");
+    ("gauss", 0, "-0x1.e247d108691cfp+0 0x1.d2241bf902964p-3 -0x1.c581393a15295p-3 0x1.55aeaef334755p-4 0x1.6f2574ff978aap-1 0x1.1d280f2433e9ep-4 -0x1.255b252434185p+0 -0x1.8f1a0c64384dep+0 0x1.bb03f36d6ab1p-4 0x1.8280237e43317p-2 -0x1.0d3eb48987864p+0 -0x1.199c956d7418ap+0 -0x1.c7a794c042212p+0 -0x1.5574e27a73211p-6 0x1.4a7105f2cd6efp+0 0x1.fc4e38b194926p-2");
+    ("gauss", 1, "-0x1.18b7c84d5c3b6p-5 -0x1.4002362ce87bdp+1 0x1.674facc896de5p-4 -0x1.0379279a48e07p+1 0x1.ca56e94386dd9p-3 -0x1.9ad5854bf4fecp-1 -0x1.15027b0bec018p+0 0x1.10ddd22f8278ap-1 0x1.264490ebfb3f9p-1 0x1.217940994578cp+0 0x1.49dcff708e3b6p-2 0x1.acbdf43daa158p-1 0x1.9220e93b1953ep-1 -0x1.16352c95f1f92p-2 0x1.3242a6859a259p-2 -0x1.27a4ae90b517ep+0");
+    ("gauss", (-1), "0x1.ce90bb8312787p+0 -0x1.426a096ddcd5ep-1 0x1.6a04ddde69877p-1 -0x1.5fa97dc84101p-6 0x1.b54c7b1351444p+0 0x1.e572453a1d55bp-5 0x1.41b051b39cefdp-4 -0x1.3ba3143d7d352p-2 0x1.757ca7fcb38c7p-2 -0x1.ec8cca256d176p-2 -0x1.c7e4d4c31a5abp-2 0x1.8c9de844450a7p-2 -0x1.0e19ef8a5ae9p-1 -0x1.d3ff8d0e7dddfp+0 0x1.abc36961879d9p+0 0x1.808bdc5166f0ep-2");
+    ("gauss", 2007, "0x1.33798c2e83c0ap+0 -0x1.34d38fc86019dp-1 -0x1.fade446ce0244p-2 0x1.0bec95ffee67ap+0 -0x1.d419058280945p-1 0x1.a6ca95499419p-2 -0x1.ae2a321509ed7p-2 -0x1.fc28ebe90be0dp-2 0x1.75e0c2bbc079ap-4 -0x1.dc155a43b4f2ep-2 0x1.9c5c58292201fp-2 0x1.e05b41cdc85eep+0 0x1.44c9d263f2fe8p-1 0x1.7f16616766d14p+0 -0x1.f4d11010a5c16p-2 -0x1.36ce93e709404p-1");
+    ("gauss", max_int, "0x1.730cf7d6eba01p-1 -0x1.2e2a226ac0c3dp+1 0x1.25cca115dc0a4p+0 0x1.9b0c36c5a2af5p+0 0x1.01176966b0955p-4 -0x1.188c994b1ef3bp-3 -0x1.6f81ee475419dp-1 -0x1.d49e0c0dedf07p-2 0x1.bef33d17734cfp-1 0x1.1472ec3d37aedp-5 0x1.26581e1d7fb8fp-2 0x1.053708503d35ap-6 -0x1.e0b400c40fe34p-1 -0x1.0eeef5459d823p+0 -0x1.291de78f1253bp+1 -0x1.6bd6501a9020dp-1");
+    ("split", 0, "a706dd2f4d197e6f b382a305f4414f5e 631a9154fbabf717 a80aba8c86640906 c9b5ae106698f0bb 256fa269a2420ea1 c755bbac848bcebe 43dec8be6926a4de 600fb8d528d256a9 9194d5bff03b9779 66c8ff35dab54690 1a78f208b81b6137 151cf79d6673264e 8dbd341ca7bf651c 907942417876970a 59ae167a9f4eef28 / 6e789e6aa1b965f4");
+    ("split", 1, "5e41ab087439611e f18d6ce93d6cf1ee b95f66d327e8d78 c7061b1b93322ba9 3817edddf9257651 c63f062c5c30e3d4 a05302141a219f0b 3f391c8a76d960bb 2d49e4067617136b 3e70a2ed0827d343 9d600a250e66d9e0 ed85bc0929a10819 25e5a1f31d0f4d00 c89d554e344ebc76 bc9e9deb3c2aa940 5b0ad7b5e85080c2 / beeb8da1658eec67");
+    ("split", (-1), "5dc20aa7b2a27137 bda5668a01d7049c 82b43276abb80226 ed4d5ed4a6ea59b4 8306445ed348a658 276ebc0e52f41c24 dec5741011329d07 b94ec6a04d7b4627 10ab666f6224661c e14c0cbdfec8973a c8ffad896927d011 20d5b5fcb502c79 fb0023605fabbc5e f865bec1a08dfa21 3e8000c95cffe134 2190e410d3980854 / e99ff867dbf682c9");
+    ("split", 2007, "dff644ab9e4cb01e aa57a897c8878763 38b154203acaab2a 5718112bc56a2527 b73b96afb380fcce 7186571b12628dcc 9c516b49602ec6d3 95f70c6ac9692f9a e6a7eac76593367f 9cd811344a041e3b caec7de5e507e6f0 12c00deb4e0699e9 ff39ac02fe77fff2 9713d154015e6601 3858e6718c1d2bb6 d936a004b07f0542 / e5dbb7214cda4435");
+    ("split", max_int, "f98a035473f2714c 32f9feb17027d805 14725a363ae04cfb 282bd854c6618e79 85305a2d36f3d91 6391d08a3b8055dc a29724cd0c0e1405 5b28f8e0ed0c49be 9b3ab3ae9b9a5ab4 225af8b020bd7452 858ce287290ef960 883b17417da3d02e 81a2dac61b688a46 959330c4f89f9128 82581a4e4f283d7c c1c6457d9872ccc0 / 101018cc4a4cadfd");
+    ("copy", 0, "6e789e6aa1b965f4 6c45d188009454f f88bb8a8724c81ec 1b39896a51a8749b 53cb9f0c747ea2ea 2c829abe1f4532e1 c584133ac916ab3c 3ee5789041c98ac3 f3b8488c368cb0a6 657eecdd3cb13d09 c2d326e0055bdef6 8621a03fe0bbdb7b 8e1f7555983aa92f b54e0f1600cc4d19 84bb3f97971d80ab 7d29825c75521255 / 6e789e6aa1b965f4");
+    ("copy", 1, "beeb8da1658eec67 f893a2eefb32555e 71c18690ee42c90b 71bb54d8d101b5b9 c34d0bff90150280 e099ec6cd7363ca5 85e7bb0f12278575 491718de357e3da8 cb435c8e74616796 6775dc7701564f61 9afcd44d14cf8bfe 7476cf8a4baa5dc0 87b341d690d7a28a 6f9b6dae6f4c57a8 2ac2ce17a5794a3b a534a6a6b7fd0b63 / beeb8da1658eec67");
+    ("copy", (-1), "e99ff867dbf682c9 382ff84cb27281e9 6d1db36ccba982d2 b4a0472e578069ae d31dadbda438bb33 f14f2cf802083fa5 405da438a39e8064 c4fea708156e0c84 31e50fe7bbd6e1c 3b234961e71cf15 ce755952d3025da7 1c9558bd006badb dd90e10f6f7c1c8a 354d0df8b25878c1 aceea13ca07e34e8 6887829e84a5e267 / e99ff867dbf682c9");
+    ("copy", 2007, "e5dbb7214cda4435 31ba1b2c3df295fc 6f5c1fa86b05751d 3e738513b8f5e0aa a2879052ea927a56 7b01a09749c1156d ef07219136e11014 5f197884156a6d6c 8d1cd25f90f5e3f2 28d72d00618fbede 2063d1923cfa23a4 9c81c5a33b7757b3 b35930f74af8683f 1f09030f7e38cc3f 88ec9a8c1d680e76 5c2b61c42d090ae2 / e5dbb7214cda4435");
+    ("copy", max_int, "101018cc4a4cadfd f7123db96bb11521 6eb32f7ee5175c16 b954958d2f637748 e07958afd6d62eb7 bce9aaa54afdb47e 7eea021a2857177 1f352ff21e902313 3af8cf713f523122 62eb064f3249c986 45aa5934ee2760c9 3a25649334650c4a 7f808d5a4cc20242 ac220bfb975459a5 4caf495e78571c0e ad69de818b8a9f7a / 101018cc4a4cadfd");
+    ("permutation", 0, "4 12 13 9 1 7 15 14 2 8 6 10 3 5 0 11");
+    ("permutation", 1, "9 10 6 12 8 7 14 11 13 1 3 2 15 5 4 0");
+    ("permutation", (-1), "4 0 15 10 13 3 6 9 5 1 14 7 11 12 2 8");
+    ("permutation", 2007, "14 8 2 4 11 9 15 12 1 5 0 10 3 13 7 6");
+    ("permutation", max_int, "15 8 0 14 11 1 12 13 5 3 6 2 7 4 10 9");
+    ("sample_indices dense", 0, "11 14 16 5 1 10 19 15 12 17 18 8 2 0 7 6");
+    ("sample_indices dense", 1, "3 19 11 17 13 12 1 10 8 4 0 18 9 5 2 14");
+    ("sample_indices dense", (-1), "2 5 3 10 8 18 17 6 19 7 1 9 14 15 13 11");
+    ("sample_indices dense", 2007, "2 6 15 0 1 3 7 18 8 17 9 19 12 13 11 10");
+    ("sample_indices dense", max_int, "9 3 16 6 10 5 18 15 14 1 0 12 4 7 8 19");
+    ("sample_indices sparse", 0, "651883 588925 886419 135611 523686 790522 76728 86735 155824 765097 610050 101181 896670 612107 368454 821226");
+    ("sample_indices sparse", 1, "205616 607129 722647 445058 742190 132512 966761 15133 89130 659237 844184 675967 347696 84130 790954 649934");
+    ("sample_indices sparse", (-1), "110984 472242 104250 369460 708651 752268 595241 919129 873185 757703 198597 659881 921718 893026 23536 869114");
+    ("sample_indices sparse", 2007, "287174 76877 617535 466951 812970 362581 935835 111301 808219 874300 492215 626345 112684 299471 801551 342941");
+    ("sample_indices sparse", max_int, "685417 287935 500872 794629 584594 182253 125343 912733 696132 167048 955361 642162 30546 541968 837929 404035");
+  ]
+
+let test_rng_known_answers name draw () =
+  List.iter
+    (fun seed ->
+      let expected =
+        List.find_map
+          (fun (n, s, e) -> if n = name && s = seed then Some e else None)
+          kat_expected
+      in
+      check Alcotest.(option string)
+        (Printf.sprintf "%s, seed %d" name seed)
+        expected
+        (Some (draw (Rng.create seed))))
+    kat_seeds
+
+let kat_cases =
+  List.map
+    (fun (name, draw) ->
+      Alcotest.test_case ("known answers " ^ name) `Quick
+        (test_rng_known_answers name draw))
+    kat_draws
+
 (* ------------------------------------------------------------------ *)
 (* Stats                                                               *)
 
@@ -511,6 +624,50 @@ let test_welford_empty () =
   Alcotest.check_raises "min empty" (Invalid_argument "Welford.min: no samples")
     (fun () -> ignore (Welford.min w))
 
+(* Bit-exact known answers on a fixed sample, generated before the
+   accumulator became an all-float record: a = the first four samples,
+   b = the rest.  Rendered as count, then mean, variance, min and max
+   in %h. *)
+let welford_sample = [ 3.5; -1.25; 7.; 0.1; 2e3; -0.3; 42.; 1e-3; 17.25 ]
+
+let render_welford w =
+  Printf.sprintf "%d %h %h %h %h" (Welford.count w) (Welford.mean w)
+    (Welford.variance w) (Welford.min w) (Welford.max w)
+
+let test_welford_known_answers () =
+  let of_list l =
+    let w = Welford.create () in
+    List.iter (Welford.add w) l;
+    w
+  in
+  let a = of_list (List.filteri (fun k _ -> k < 4) welford_sample)
+  and b = of_list (List.filteri (fun k _ -> k >= 4) welford_sample) in
+  let empty = Welford.create () in
+  let got =
+    [
+      ("a", a); ("b", b); ("all", of_list welford_sample);
+      ("merge a b", Welford.merge a b); ("merge b a", Welford.merge b a);
+      ("merge a empty", Welford.merge a empty);
+      ("merge empty b", Welford.merge empty b);
+    ]
+  in
+  let expected =
+    [
+    ("a", "4 0x1.2b33333333333p+1 0x1.b4fae147ae148p+3 -0x1.4p+0 0x1.cp+2");
+    ("b", "5 0x1.9bca4a8c154c9p+8 0x1.8108ee77a553p+19 -0x1.3333333333333p-2 0x1.f4p+10");
+    ("all", "9 0x1.cb9f5884e4772p+7 0x1.ae84ad8ddc25fp+18 -0x1.4p+0 0x1.f4p+10");
+    ("merge a b", "9 0x1.cb9f5884e4774p+7 0x1.ae84ad8ddc25ep+18 -0x1.4p+0 0x1.f4p+10");
+    ("merge b a", "9 0x1.cb9f5884e4773p+7 0x1.ae84ad8ddc25ep+18 -0x1.4p+0 0x1.f4p+10");
+    ("merge a empty", "4 0x1.2b33333333333p+1 0x1.b4fae147ae148p+3 -0x1.4p+0 0x1.cp+2");
+    ("merge empty b", "5 0x1.9bca4a8c154c9p+8 0x1.8108ee77a553p+19 -0x1.3333333333333p-2 0x1.f4p+10");
+    ]
+  in
+  List.iter2
+    (fun (name, w) (name', e) ->
+      check Alcotest.string name e (render_welford w);
+      check Alcotest.string "case order" name' name)
+    got expected
+
 (* ------------------------------------------------------------------ *)
 (* Zipf                                                                *)
 
@@ -699,7 +856,8 @@ let () =
           prop_shuffle_multiset;
           prop_permutation;
           prop_sample_indices;
-        ] );
+        ]
+        @ kat_cases );
       ( "stats",
         [
           Alcotest.test_case "known values" `Quick test_stats_known;
@@ -760,6 +918,7 @@ let () =
           prop_welford_merge;
           Alcotest.test_case "min max" `Quick test_welford_min_max;
           Alcotest.test_case "empty" `Quick test_welford_empty;
+          Alcotest.test_case "known answers" `Quick test_welford_known_answers;
         ] );
       ( "zipf",
         [
