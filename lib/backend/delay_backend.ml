@@ -49,23 +49,6 @@ let kind_name t =
 
 let dense m = { size = Matrix.size m; kind = Dense m; inst = None }
 
-(* Every pair gets its own SplitMix64 stream, seeded by finalizer-mixing
-   (seed, min i j, max i j).  Query order therefore cannot matter: the
-   draw for a pair is a pure function of the backend seed and the pair. *)
-let pair_seed seed i j =
-  let i, j = if i < j then (i, j) else (j, i) in
-  let mix z =
-    let open Int64 in
-    let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-    let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
-    logxor z (shift_right_logical z 31)
-  in
-  let open Int64 in
-  let h = mix (add (of_int seed) 0x9E3779B97F4A7C15L) in
-  let h = mix (logxor h (of_int i)) in
-  let h = mix (logxor h (of_int j)) in
-  Int64.to_int h
-
 let lazy_synth ?(jitter = 0.05) ?memo ~seed ~size model =
   if size < 2 then invalid_arg "Delay_backend.lazy_synth: size must be >= 2";
   if jitter < 0. || jitter >= 1. then
@@ -109,8 +92,11 @@ let materialized t =
   | Sparse { edges; _ } -> Hashtbl.length edges
   | Fn _ -> 0
 
+(* Every pair gets its own SplitMix64 stream ({!Rng.of_pair}).  Query
+   order therefore cannot matter: the draw for a pair is a pure function
+   of the backend seed and the pair. *)
 let draw_lazy ls i j =
-  let rng = Rng.create (pair_seed ls.seed i j) in
+  let rng = Rng.of_pair ~seed:ls.seed i j in
   Synthesizer.draw_delay ~jitter:ls.jitter rng ls.model
     ~a:ls.bucket_of.(i) ~b:ls.bucket_of.(j)
 

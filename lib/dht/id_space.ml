@@ -1,13 +1,12 @@
+module Rng = Tivaware_util.Rng
+
 let bits = 61
 let modulus = 1 lsl bits
 let mask = modulus - 1
 
 (* SplitMix64 finalizer over the node index; masked to 61 bits. *)
 let of_node index =
-  let z = Int64.add (Int64.of_int index) 0x9E3779B97F4A7C15L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
-  let z = Int64.logxor z (Int64.shift_right_logical z 31) in
+  let z = Rng.mix64 (Int64.add (Int64.of_int index) 0x9E3779B97F4A7C15L) in
   Int64.to_int (Int64.logand z (Int64.of_int mask))
 
 let distance_cw a b = (b - a) land mask

@@ -12,7 +12,7 @@
 (* Xor-shift-multiply mix of the 63-bit key (SplitMix64's finalizer
    with its multipliers cut to OCaml's int width), so every key bit
    reaches the low bits the table indexes by. *)
-let hash_key k =
+let[@inline] hash_key k =
   let z = (k lxor (k lsr 30)) * 0x3f58476d1ce4e5b9 in
   let z = (z lxor (z lsr 27)) * 0x14d049bb133111eb in
   (z lxor (z lsr 31)) land max_int

@@ -55,6 +55,12 @@ val store : t -> now:float -> int -> int -> float -> int
     retain).  Re-storing a cached pair refreshes it in place and never
     evicts. *)
 
+val hash_key : int -> int
+(** SplitMix64's finalizer with its multipliers cut to OCaml's 63-bit
+    int: every bit of [k] reaches the low bits a power-of-two table
+    indexes by.  Never negative.  {!Fault}'s per-link loss table hashes
+    its keys with it too. *)
+
 val hash_pair : int -> int -> int
 (** The table's hash of the unordered pair [(i, j)] (indices below
     2{^31}): [hash_pair i j = hash_pair j i], never negative, and every

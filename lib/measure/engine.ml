@@ -231,8 +231,12 @@ let sync_churn t =
   | None -> ()
   | Some c -> Churn.drive c t.fault ~time:t.clock
 
+(* [dt < 0.] alone is false for nan, which would then poison the clock:
+   every later TTL, budget and churn comparison against nan is false. *)
 let advance t dt =
-  if dt < 0. then invalid_arg "Engine.advance: negative step";
+  if not (Float.is_finite dt && dt >= 0.) then
+    invalid_arg
+      (Printf.sprintf "Engine.advance: step must be finite and >= 0 s (got %g)" dt);
   t.clock <- t.clock +. dt;
   sync_churn t
 

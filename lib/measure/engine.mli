@@ -108,7 +108,10 @@ val dynamics : t -> Dynamics.t option
 
 val now : t -> float
 val advance : t -> float -> unit
-(** Advance the clock by a (non-negative) number of seconds. *)
+(** Advance the clock by a number of seconds.  Raises
+    [Invalid_argument], leaving the clock unchanged, unless the step is
+    finite and [>= 0]: a nan step would otherwise turn every later
+    TTL, budget and churn comparison against the clock false. *)
 
 val advance_to : t -> float -> unit
 (** Monotonic absolute set: earlier times are ignored.  Used to slave

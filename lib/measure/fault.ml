@@ -52,13 +52,17 @@ type t = {
   n : int;
   rng : Rng.t;
   down : (int, unit) Hashtbl.t;
-  (* Directed-link state, keyed by [i * n + j].  Hashtables, not n^2
-     arrays: only probed links ever materialize.  Each cell is a
-     2-slot float array — [|ewma; attempt count|] — mutated in place,
-     so the per-attempt estimate update allocates only on a link's
-     first observation (float-array stores are unboxed; a tuple or
-     mixed record here would box every write). *)
-  loss_est : (int, float array) Hashtbl.t;
+  (* Per-link loss estimates, keyed by [i * n + j]: an open-addressing
+     table over flat arrays, so only probed links materialize (an n^2
+     array at n = 100 000 would be 80 GB) and no link costs a heap
+     block.  [est_keys] holds the key of each slot ([empty_key] when
+     free); [est_vals] holds the slot's [ewma; attempt count] pair at
+     [2 * slot] and [2 * slot + 1], so updates are unboxed float-array
+     stores.  Linear probing from [Cache.hash_key]; the table doubles
+     once more than 3/4 of its slots are taken. *)
+  mutable est_keys : int array;
+  mutable est_vals : float array;
+  mutable est_used : int;
   (* Source-node aggregate estimate: the fallback prior for links with
      few observations of their own (a prober that has seen 20% loss
      across its links expects roughly that on a fresh link too). *)
@@ -66,6 +70,9 @@ type t = {
   link_outage : (int, bool) Hashtbl.t;
   link_salt : int;
 }
+
+let empty_key = -1
+let est_initial_slots = 64
 
 let validate_backoff ctx b =
   if Float.is_nan b.base || b.base < 0. then
@@ -133,7 +140,9 @@ let create ?(config = default) ?profile rng ~n =
     n;
     rng;
     down;
-    loss_est = Hashtbl.create 64;
+    est_keys = Array.make est_initial_slots empty_key;
+    est_vals = Array.make (2 * est_initial_slots) 0.;
+    est_used = 0;
     node_loss_est = Array.make n 0.;
     link_outage = Hashtbl.create 16;
     link_salt;
@@ -190,24 +199,60 @@ let attempt t i j ~rtt =
   let buf = [| nan |] in
   if attempt_into t i j ~rtt ~into:buf then Delivered buf.(0) else Dropped
 
-let link_key t i j = (i * t.n) + j
+let[@inline] ewma prev sample =
+  (loss_est_alpha *. sample) +. ((1. -. loss_est_alpha) *. prev)
 
-let ewma prev sample = (loss_est_alpha *. sample) +. ((1. -. loss_est_alpha) *. prev)
+(* The slot holding [key], or the free slot where it would go. *)
+let rec find_slot keys mask key s =
+  let k = keys.(s) in
+  if k = key || k = empty_key then s else find_slot keys mask key ((s + 1) land mask)
+
+let slot_of keys key =
+  let mask = Array.length keys - 1 in
+  find_slot keys mask key (Cache.hash_key key land mask)
+
+(* Past 3/4 load a linear probe's expected run grows quickly; doubling
+   there keeps the table at 3/8..3/4 full.  Growing at 1/2 would keep
+   probes shorter, but at 1.5M links it costs a table of 4M slots. *)
+let grow t =
+  let keys = t.est_keys and vals = t.est_vals in
+  let slots = 2 * Array.length keys in
+  let keys' = Array.make slots empty_key and vals' = Array.make (2 * slots) 0. in
+  Array.iteri
+    (fun s key ->
+      if key <> empty_key then begin
+        let s' = slot_of keys' key in
+        keys'.(s') <- key;
+        vals'.(2 * s') <- vals.(2 * s);
+        vals'.((2 * s') + 1) <- vals.((2 * s) + 1)
+      end)
+    keys;
+  t.est_keys <- keys';
+  t.est_vals <- vals'
 
 let record_outcome t i j ~lost =
   if i >= 0 && i < t.n && j >= 0 && j < t.n then begin
-    let key = link_key t i j in
-    let cell =
-      match Hashtbl.find t.loss_est key with
-      | cell -> cell
-      | exception Not_found ->
-        let cell = [| 0.; 0. |] in
-        Hashtbl.add t.loss_est key cell;
-        cell
+    let key = (i * t.n) + j in
+    let s = slot_of t.est_keys key in
+    let s =
+      if t.est_keys.(s) <> empty_key then s
+      else begin
+        let s =
+          if 4 * (t.est_used + 1) > 3 * Array.length t.est_keys then begin
+            grow t;
+            slot_of t.est_keys key
+          end
+          else s
+        in
+        t.est_keys.(s) <- key;
+        t.est_used <- t.est_used + 1;
+        s
+      end
     in
+    let vals = t.est_vals in
     let sample = if lost then 1. else 0. in
-    cell.(0) <- ewma cell.(0) sample;
-    cell.(1) <- cell.(1) +. 1.;
+    vals.(2 * s) <- ewma vals.(2 * s) sample;
+    vals.((2 * s) + 1) <- vals.((2 * s) + 1) +. 1.;
     t.node_loss_est.(i) <- ewma t.node_loss_est.(i) sample
   end
 
@@ -218,12 +263,13 @@ let record_outcome t i j ~lost =
    is still distinguished from its clean siblings. *)
 let estimated_loss t i j =
   if i >= 0 && i < t.n && j >= 0 && j < t.n then begin
-    match Hashtbl.find t.loss_est (link_key t i j) with
-    | cell ->
-      let count = cell.(1) in
+    let s = slot_of t.est_keys ((i * t.n) + j) in
+    if t.est_keys.(s) = empty_key then t.node_loss_est.(i)
+    else begin
+      let count = t.est_vals.((2 * s) + 1) in
       let w = count /. (count +. loss_est_prior) in
-      (w *. cell.(0)) +. ((1. -. w) *. t.node_loss_est.(i))
-    | exception Not_found -> t.node_loss_est.(i)
+      (w *. t.est_vals.(2 * s)) +. ((1. -. w) *. t.node_loss_est.(i))
+    end
   end
   else 0.
 

@@ -3,7 +3,9 @@ type t = {
   counts : int array;  (* length = edges + 1; last is overflow *)
   mutable count : int;
   mutable dropped : int;
-  mutable sum : float;
+  sum : float array;
+      (* one slot: a float-array store is unboxed, where a mutable
+         float field of this mixed record would box every sum *)
 }
 
 let create ~edges =
@@ -21,7 +23,7 @@ let create ~edges =
     counts = Array.make (n + 1) 0;
     count = 0;
     dropped = 0;
-    sum = 0.;
+    sum = [| 0. |];
   }
 
 (* First bucket whose upper edge is >= v; [Array.length edges] when v
@@ -47,7 +49,7 @@ let observe t v =
     t.counts.(b) <- t.counts.(b) + 1;
     t.count <- t.count + 1;
     (* Keep the sum finite even for infinite observations. *)
-    if Float.is_finite v then t.sum <- t.sum +. v
+    if Float.is_finite v then t.sum.(0) <- t.sum.(0) +. v
   end
 
 let count t = t.count
@@ -86,8 +88,8 @@ let quantile t q =
     in
     locate 0 0
   end
-let sum t = t.sum
-let mean t = if t.count = 0 then nan else t.sum /. float_of_int t.count
+let sum t = t.sum.(0)
+let mean t = if t.count = 0 then nan else t.sum.(0) /. float_of_int t.count
 let edges t = Array.copy t.edges
 let counts t = Array.copy t.counts
 
@@ -102,5 +104,5 @@ let merge a b =
   Array.iteri (fun i c -> m.counts.(i) <- c + b.counts.(i)) a.counts;
   m.count <- a.count + b.count;
   m.dropped <- a.dropped + b.dropped;
-  m.sum <- a.sum +. b.sum;
+  m.sum.(0) <- a.sum.(0) +. b.sum.(0);
   m

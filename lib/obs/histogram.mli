@@ -4,7 +4,8 @@
     edges; an observation lands in the first bucket whose edge is at or
     above it (upper-inclusive, Prometheus-style), or in the implicit
     overflow bucket past the last edge.  Cheap enough for the probe hot
-    path: one binary search and two stores per observation. *)
+    path: one binary search and three stores per observation (bucket,
+    count, sum), none of which allocates. *)
 
 type t
 

@@ -29,16 +29,10 @@ let validate_mix m =
    identical whichever shard executes it and however many shards there
    are — the heart of the partition-independence contract. *)
 let mix_seed seed qid =
-  let z =
-    Int64.add (Int64.of_int seed)
-      (Int64.mul (Int64.of_int (qid + 1)) 0x9E3779B97F4A7C15L)
-  in
-  let z = Int64.logxor z (Int64.shift_right_logical z 30) in
-  let z = Int64.mul z 0xBF58476D1CE4E5B9L in
-  let z = Int64.logxor z (Int64.shift_right_logical z 27) in
-  let z = Int64.mul z 0x94D049BB133111EBL in
-  let z = Int64.logxor z (Int64.shift_right_logical z 31) in
-  Int64.to_int z
+  Int64.to_int
+    (Rng.mix64
+       (Int64.add (Int64.of_int seed)
+          (Int64.mul (Int64.of_int (qid + 1)) 0x9E3779B97F4A7C15L)))
 
 let query_rng ~seed ~qid = Rng.create (mix_seed seed qid)
 

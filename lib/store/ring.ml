@@ -1,3 +1,5 @@
+module Rng = Tivaware_util.Rng
+
 type spec = { node : int; zone : int; weight : float }
 type device = { id : int; node : int; zone : int; weight : float }
 
@@ -12,18 +14,13 @@ type t = {
   mutable last_moves : int;
 }
 
-(* SplitMix64 finalizer: the per-slot tie-break and the object hash
-   both need a stateless hash so the assignment is a pure function of
-   (seed, inputs) and never of iteration history. *)
-let mix64 z =
-  let open Int64 in
-  let z = mul (logxor z (shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
-  let z = mul (logxor z (shift_right_logical z 27)) 0x94d049bb133111ebL in
-  logxor z (shift_right_logical z 31)
-
+(* SplitMix64's finalizer ([Rng.mix64]) as a stateless hash: the
+   per-slot tie-break and the object hash are pure functions of (seed,
+   inputs), never of iteration history. *)
 let hash2 a b =
   Int64.to_int
-    (mix64 (Int64.add (Int64.mul (Int64.of_int a) 0x9e3779b97f4a7c15L) (Int64.of_int b)))
+    (Rng.mix64
+       (Int64.add (Int64.mul (Int64.of_int a) 0x9e3779b97f4a7c15L) (Int64.of_int b)))
   land max_int
 
 let part_power t = t.part_power

@@ -19,9 +19,10 @@ let name = function
   | Coordinate _ -> "vivaldi"
   | Alert_aware _ -> "alert"
 
-(* SplitMix64 finalizer — the same mixing discipline the lazy backend
-   uses for pair seeds, so naive ranking is a pure function of
-   (seed, i, j): no RNG state, no path dependence. *)
+(* MurmurHash3's 64-bit finalizer (fmix64), not SplitMix64's: the same
+   stateless-mixing discipline the lazy backend uses for pair seeds, so
+   naive ranking is a pure function of (seed, i, j): no RNG state, no
+   path dependence. *)
 let mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 33)) 0xff51afd7ed558ccdL in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 33)) 0xc4ceb9fe1a85ec53L in

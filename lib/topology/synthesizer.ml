@@ -95,7 +95,7 @@ let bucket_labels model bucket_of =
   let noise_bucket = Array.length model.fractions - 1 in
   Array.map (fun b -> if b = noise_bucket then -1 else b) bucket_of
 
-let draw_delay ?(jitter = 0.05) rng model ~a ~b =
+let draw_delay ~jitter rng model ~a ~b =
   assert (jitter >= 0. && jitter < 1.);
   if Rng.bernoulli rng model.missing_fraction then nan
   else begin

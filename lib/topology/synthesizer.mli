@@ -49,11 +49,11 @@ val bucket_labels : model -> int array -> int array
     pseudo-cluster becomes [-1], every other bucket keeps its index. *)
 
 val draw_delay :
-  ?jitter:float -> Tivaware_util.Rng.t -> model -> a:int -> b:int -> float
-(** [draw_delay rng model ~a ~b] draws one delay between a node in
-    bucket [a] and one in bucket [b]: first a Bernoulli missing-entry
+  jitter:float -> Tivaware_util.Rng.t -> model -> a:int -> b:int -> float
+(** [draw_delay ~jitter rng model ~a ~b] draws one delay between a node
+    in bucket [a] and one in bucket [b]: first a Bernoulli missing-entry
     trial at the model's missing fraction, then an empirical bucket
-    sample scaled by a uniform factor in [1 ± jitter] (default 0.05).
+    sample scaled by a uniform factor in [1 ± jitter].
     Returns [nan] for missing entries and empty buckets (the latter
     consumes no further RNG).  {!synthesize_with_clusters} is exactly
     one such draw per upper-triangular pair in row-major order. *)

@@ -1,43 +1,66 @@
-type t = { mutable state : int64 }
+(* The SplitMix64 state lives unboxed in 8 bytes.  A [mutable state :
+   int64] field would box a fresh int64 on every draw; a byte buffer read
+   and written with the unaligned 64-bit primitives keeps the state
+   unboxed, so a draw whose result is consumed at once (an int, a bool,
+   a float used in arithmetic) allocates nothing once it is inlined. *)
+type t = Bytes.t
+
+external get_state : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set_state : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
+let of_state s =
+  let t = Bytes.create 8 in
+  set_state t 0 s;
+  t
 
-let copy t = { state = t.state }
+let create seed = of_state (Int64.of_int seed)
+
+let copy t = Bytes.copy t
 
 (* SplitMix64 finalizer: xor-shift-multiply mix of the advanced state. *)
-let mix z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let[@inline] int64 t =
+  let s = Int64.add (get_state t 0) golden_gamma in
+  set_state t 0 s;
+  mix64 s
 
-let split t =
-  let seed = int64 t in
-  { state = seed }
+let split t = of_state (int64 t)
 
-let int t bound =
+(* Finalizer-mix (seed, min i j, max i j).  The int64 arithmetic stays
+   in this module, where [mix64] inlines, so deriving a pair's stream
+   boxes nothing even when callers are compiled without cross-module
+   inlining. *)
+let of_pair ~seed i j =
+  let lo = if i < j then i else j and hi = if i < j then j else i in
+  let h = mix64 (Int64.add (Int64.of_int seed) golden_gamma) in
+  let h = mix64 (Int64.logxor h (Int64.of_int lo)) in
+  let h = mix64 (Int64.logxor h (Int64.of_int hi)) in
+  create (Int64.to_int h)
+
+let[@inline] int t bound =
   assert (bound > 0);
   (* 62 random bits fit OCaml's native int; modulo bias is negligible
      for the small bounds used in simulations (<< 2^32). *)
   let v = Int64.to_int (Int64.shift_right_logical (int64 t) 2) in
   v mod bound
 
-let float t bound =
+let[@inline] float t bound =
   assert (bound > 0.);
   (* 53 random mantissa bits mapped to [0, 1). *)
   let bits = Int64.to_float (Int64.shift_right_logical (int64 t) 11) in
   bits /. 9007199254740992. *. bound
 
-let uniform t lo hi = lo +. float t (hi -. lo)
+let[@inline] uniform t lo hi = lo +. float t (hi -. lo)
 
 let bool t = Int64.logand (int64 t) 1L = 1L
 
-let bernoulli t p = float t 1. < p
+let[@inline] bernoulli t p = float t 1. < p
 
 let gauss t ~mean ~stddev =
   (* Box–Muller; one deviate per call keeps the state trajectory simple. *)
@@ -58,7 +81,7 @@ let pareto t ~shape ~scale =
 
 let lognormal t ~mu ~sigma = exp (gauss t ~mean:mu ~stddev:sigma)
 
-let choice t a =
+let[@inline] choice t a =
   assert (Array.length a > 0);
   a.(int t (Array.length a))
 

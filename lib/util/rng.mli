@@ -7,7 +7,8 @@
     derive independent streams from one master seed. *)
 
 type t
-(** Mutable generator state. *)
+(** Mutable generator state: the 64-bit SplitMix64 word, held unboxed so
+    that advancing it allocates nothing. *)
 
 val create : int -> t
 (** [create seed] returns a fresh generator determined by [seed]. *)
@@ -19,8 +20,21 @@ val split : t -> t
 (** [split t] advances [t] and returns a new generator whose stream is
     statistically independent of the remainder of [t]'s stream. *)
 
+val of_pair : seed:int -> int -> int -> t
+(** [of_pair ~seed i j] is the generator of the unordered pair [{i, j}]
+    under [seed]: its state is [seed], [min i j] and [max i j] folded
+    through {!mix64}.  It is a pure function of those three values, so
+    per-pair draws cannot depend on the order pairs are visited in, and
+    [of_pair ~seed i j] and [of_pair ~seed j i] give the same stream. *)
+
 val int64 : t -> int64
 (** Next raw 64-bit output. *)
+
+val mix64 : int64 -> int64
+(** The SplitMix64 finalizer (xor-shift-multiply), the bijection each
+    output passes through.  Exposed as the one stateless 64-bit hash the
+    library uses wherever a value must be a pure function of its inputs
+    (per-pair delay seeds, query seeds, ring placements, Chord ids). *)
 
 val int : t -> int -> int
 (** [int t bound] is uniform on [0, bound). Requires [bound > 0]. *)

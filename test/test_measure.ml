@@ -129,6 +129,22 @@ let test_cache_ttl_expiry () =
   ignore (Engine.rtt e 1 2);
   checki "refreshed entry hits again" 3 st.Probe_stats.hits
 
+(* A nan step used to pass the [dt < 0.] check and set the clock to
+   nan; negative and infinite steps are rejected the same way. *)
+let test_advance_rejects_bad_steps () =
+  let e = Engine.of_matrix (Matrix.create 3) in
+  Engine.advance e 2.5;
+  List.iter
+    (fun dt ->
+      (match Engine.advance e dt with
+      | () -> Alcotest.failf "advance %g accepted" dt
+      | exception Invalid_argument _ -> ());
+      checkf (Printf.sprintf "clock unchanged after advance %g" dt) 2.5
+        (Engine.now e))
+    [ nan; -1.; -0.001; infinity; neg_infinity ];
+  Engine.advance e 0.;
+  checkf "zero step accepted" 2.5 (Engine.now e)
+
 let test_cache_unit () =
   let c = Cache.create ~ttl:5. () in
   Alcotest.(check bool) "miss on empty" true (Cache.find c ~now:0. 1 2 = Cache.Miss);
@@ -663,6 +679,11 @@ let () =
             test_vivaldi_engine_path_identical;
           Alcotest.test_case "meridian identical through engine" `Quick
             test_meridian_engine_path_identical;
+        ] );
+      ( "clock",
+        [
+          Alcotest.test_case "advance rejects bad steps" `Quick
+            test_advance_rejects_bad_steps;
         ] );
       ( "cache",
         [
