@@ -199,6 +199,8 @@ let attempt t i j ~rtt =
   let buf = [| nan |] in
   if attempt_into t i j ~rtt ~into:buf then Delivered buf.(0) else Dropped
 
+let link_key t i j = (i * t.n) + j
+
 let[@inline] ewma prev sample =
   (loss_est_alpha *. sample) +. ((1. -. loss_est_alpha) *. prev)
 
@@ -232,7 +234,7 @@ let grow t =
 
 let record_outcome t i j ~lost =
   if i >= 0 && i < t.n && j >= 0 && j < t.n then begin
-    let key = (i * t.n) + j in
+    let key = link_key t i j in
     let s = slot_of t.est_keys key in
     let s =
       if t.est_keys.(s) <> empty_key then s
@@ -263,7 +265,7 @@ let record_outcome t i j ~lost =
    is still distinguished from its clean siblings. *)
 let estimated_loss t i j =
   if i >= 0 && i < t.n && j >= 0 && j < t.n then begin
-    let s = slot_of t.est_keys ((i * t.n) + j) in
+    let s = slot_of t.est_keys (link_key t i j) in
     if t.est_keys.(s) = empty_key then t.node_loss_est.(i)
     else begin
       let count = t.est_vals.((2 * s) + 1) in

@@ -10,14 +10,14 @@ external set_state : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let of_state s =
+let[@inline] of_state s =
   let t = Bytes.create 8 in
   set_state t 0 s;
   t
 
 let create seed = of_state (Int64.of_int seed)
 
-let copy t = Bytes.copy t
+let copy t = of_state (get_state t 0)
 
 (* SplitMix64 finalizer: xor-shift-multiply mix of the advanced state. *)
 let[@inline] mix64 z =
