@@ -10,6 +10,7 @@ module Eval = Tivaware_tiv.Eval
 module System = Tivaware_vivaldi.System
 module Dynamic_neighbors = Tivaware_vivaldi.Dynamic_neighbors
 module Ring = Tivaware_meridian.Ring
+module Engine = Tivaware_measure.Engine
 module Experiment = Tivaware_core.Experiment
 module Selectors = Tivaware_core.Selectors
 
@@ -115,10 +116,12 @@ let abl_beta_sweep ctx =
     fun i j -> System.predicted system i j
   in
   let cfg = Ring.default_config in
+  let engine = Engine.of_matrix m in
   let r =
     Experiment.run_meridian (Context.rng ctx 304) m ~runs:3 ~meridian_count:count
-      ~build:(Selectors.meridian_build_tiv_aware m cfg ~predicted)
-      ~fallback:(Selectors.meridian_fallback_tiv_aware m ~predicted ()) ()
+      ~build:(Selectors.meridian_build_tiv_aware_engine engine cfg ~predicted)
+      ~fallback:(Selectors.meridian_fallback_tiv_aware_engine engine ~predicted ())
+      ()
   in
   Printf.printf "TIV-alert (beta=0.5): %s probes=%d\n"
     (Tivaware_core.Penalty.summarize r.Experiment.base.Experiment.penalties)
@@ -134,13 +137,18 @@ let abl_thresholds ctx =
     let system = Context.vivaldi ctx in
     fun i j -> System.predicted system i j
   in
+  let engine = Engine.of_matrix m in
   List.iter
     (fun (ts, tl) ->
       let r =
         Experiment.run_meridian (Context.rng ctx 305) m ~runs:3
           ~meridian_count:count
-          ~build:(Selectors.meridian_build_tiv_aware m cfg ~predicted ~ts ~tl)
-          ~fallback:(Selectors.meridian_fallback_tiv_aware m ~predicted ~ts ())
+          ~build:
+            (Selectors.meridian_build_tiv_aware_engine engine cfg ~predicted ~ts
+               ~tl)
+          ~fallback:
+            (Selectors.meridian_fallback_tiv_aware_engine engine ~predicted ~ts
+               ())
           ()
       in
       Printf.printf "ts=%.1f tl=%.1f: %s probes=%d restarts=%d\n" ts tl
@@ -223,12 +231,14 @@ let abl_dht ctx =
         (Tivaware_util.Rng.int rng (Matrix.size m),
          Tivaware_util.Rng.int rng Id_space.modulus))
   in
+  let backend = Tivaware_backend.Delay_backend.dense m in
   List.iter
     (fun (name, predict) ->
-      let overlay = Chord.build ?predict m in
+      let overlay = Chord.build_sized ?predict (Matrix.size m) in
       let latencies =
         Array.map
-          (fun (source, key) -> (Chord.lookup overlay m ~source ~key).Chord.latency)
+          (fun (source, key) ->
+            (Chord.lookup_backend overlay backend ~source ~key).Chord.latency)
           workload
       in
       Printf.printf "%-18s median=%.1f p90=%.1f mean=%.1f ms\n" name

@@ -5,6 +5,7 @@
 module Rng = Tivaware_util.Rng
 module Matrix = Tivaware_delay_space.Matrix
 module Multicast = Tivaware_overlay.Multicast
+module Delay_backend = Tivaware_backend.Delay_backend
 module System = Tivaware_vivaldi.System
 module Dynamic_neighbors = Tivaware_vivaldi.Dynamic_neighbors
 module Selectors = Tivaware_core.Selectors
@@ -16,6 +17,7 @@ let ext_multicast ctx =
      direct unicast delay";
   let m = Context.matrix ctx in
   let rng = Context.rng ctx 400 in
+  let backend = Delay_backend.dense m in
   let join_order = Rng.permutation rng (Matrix.size m) in
   let vivaldi = Context.vivaldi ctx in
   let aware = System.create (Context.rng ctx 401) m in
@@ -23,22 +25,22 @@ let ext_multicast ctx =
   Dynamic_neighbors.run aware
     { Dynamic_neighbors.rounds_per_iteration = 100; iterations = 5 };
   let show name t =
-    let metrics = Multicast.evaluate t m in
+    let metrics = Multicast.evaluate_backend t backend in
     Printf.printf "%-24s members=%d edge=%.1fms stretch p50=%.2f p90=%.2f depth=%d\n"
       name metrics.Multicast.members metrics.Multicast.mean_edge_ms
       metrics.Multicast.median_stretch metrics.Multicast.p90_stretch
       metrics.Multicast.max_depth
   in
-  let oracle =
-    Multicast.build m ~join_order ~predict:(fun a b -> Matrix.get m a b)
-  in
+  let oracle = Multicast.build_backend backend ~join_order in
   show "oracle" oracle;
   let t_vivaldi =
-    Multicast.build m ~join_order ~predict:(Selectors.vivaldi_predict vivaldi)
+    Multicast.build_backend backend ~join_order
+      ~predict:(Selectors.vivaldi_predict vivaldi)
   in
   show "vivaldi" t_vivaldi;
   let t_aware =
-    Multicast.build m ~join_order ~predict:(Selectors.vivaldi_predict aware)
+    Multicast.build_backend backend ~join_order
+      ~predict:(Selectors.vivaldi_predict aware)
   in
   show "tiv-aware vivaldi" t_aware;
   let refresh_rng = Context.rng ctx 402 in
@@ -46,7 +48,7 @@ let ext_multicast ctx =
   for _ = 1 to 3 do
     switches :=
       !switches
-      + Multicast.refresh t_aware refresh_rng m
+      + Multicast.refresh_backend t_aware refresh_rng backend
           ~predict:(Selectors.vivaldi_predict aware)
   done;
   show (Printf.sprintf "  + refresh (%d moves)" !switches) t_aware

@@ -6,6 +6,7 @@ module Matrix = Tivaware_delay_space.Matrix
 module Euclidean = Tivaware_topology.Euclidean
 module Ring = Tivaware_meridian.Ring
 module Query = Tivaware_meridian.Query
+module Engine = Tivaware_measure.Engine
 module Misplacement = Tivaware_meridian.Misplacement
 module Experiment = Tivaware_core.Experiment
 module Selectors = Tivaware_core.Selectors
@@ -71,7 +72,8 @@ let fig12 ctx =
     Tivaware_meridian.Overlay.build (Rng.create 12) m Ring.default_config
       ~meridian_nodes:[| a; b; n |]
   in
-  let outcome = Query.closest overlay m ~start:a ~target:t in
+  let engine = Engine.of_matrix m in
+  let outcome = Query.closest_engine overlay engine ~start:a ~target:t in
   Report.measured "chosen %c at %.0f ms (optimal N at 1 ms); path %s"
     (match outcome.Query.chosen with
     | x when x = a -> 'A'
@@ -93,14 +95,17 @@ let fig12 ctx =
   let aware_overlay =
     Tivaware_meridian.Overlay.build
       ~placement:
-        (Tivaware_meridian.Tiv_aware.placement Ring.default_config ~predicted
-           ~measured:m ())
+        (Tivaware_meridian.Tiv_aware.placement_engine Ring.default_config
+           ~predicted ~engine ())
       (Rng.create 12) m Ring.default_config ~meridian_nodes:[| a; b; n |]
   in
   let fallback =
-    Tivaware_meridian.Tiv_aware.fallback aware_overlay ~predicted ~measured:m ()
+    Tivaware_meridian.Tiv_aware.fallback_engine aware_overlay ~predicted ~engine
+      ()
   in
-  let aware = Query.closest ~fallback aware_overlay m ~start:a ~target:t in
+  let aware =
+    Query.closest_engine ~fallback aware_overlay engine ~start:a ~target:t
+  in
   Report.measured "with TIV awareness: chosen %s at %.0f ms"
     (if aware.Query.chosen = n then "N" else "not-N")
     aware.Query.chosen_delay

@@ -133,6 +133,7 @@ let repair_arm ctx ~on =
       ~meridian_nodes:nodes
   in
   let chord = Chord.build_engine ~successor_list:8 e in
+  let truth = Tivaware_backend.Delay_backend.dense m in
   let is_meridian s = Array.exists (( = ) s) nodes in
   let q_ok = ref 0 and q_total = ref 0 in
   let l_ok = ref 0 and l_total = ref 0 in
@@ -186,7 +187,7 @@ let repair_arm ctx ~on =
         let key =
           Id_space.add (Id_space.of_node (Rng.int lk n)) (Rng.int lk 1_000_000)
         in
-        let o = Chord.lookup chord m ~source ~key in
+        let o = Chord.lookup_backend chord truth ~source ~key in
         if Churn.is_up c o.Chord.owner then incr l_ok
       end
     done

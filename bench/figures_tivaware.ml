@@ -3,12 +3,23 @@
 module Matrix = Tivaware_delay_space.Matrix
 module Ring = Tivaware_meridian.Ring
 module Query = Tivaware_meridian.Query
+module Engine = Tivaware_measure.Engine
 module Experiment = Tivaware_core.Experiment
 module Selectors = Tivaware_core.Selectors
 
 let predicted_fn ctx =
   let system = Context.vivaldi ctx in
   fun i j -> Tivaware_vivaldi.System.predicted system i j
+
+(* Dual ring placement plus query restart, with the alert ratios probed
+   through an oracle-mode engine over the matrix. *)
+let run_aware ctx ~salt m cfg ~count =
+  let predicted = predicted_fn ctx in
+  let engine = Engine.of_matrix m in
+  Experiment.run_meridian (Context.rng ctx salt) m ~runs:5 ~meridian_count:count
+    ~build:(Selectors.meridian_build_tiv_aware_engine engine cfg ~predicted)
+    ~fallback:(Selectors.meridian_fallback_tiv_aware_engine engine ~predicted ())
+    ()
 
 let probe_overhead baseline enhanced =
   if baseline.Experiment.probes = 0 then 0.
@@ -26,16 +37,11 @@ let fig24 ctx =
   let m = Context.matrix ctx in
   let cfg = Ring.default_config in
   let count = Context.meridian_count_normal ctx in
-  let predicted = predicted_fn ctx in
   let r_orig =
     Experiment.run_meridian (Context.rng ctx 24) m ~runs:5 ~meridian_count:count
       ~build:(Selectors.meridian_build m cfg) ()
   in
-  let r_aware =
-    Experiment.run_meridian (Context.rng ctx 241) m ~runs:5 ~meridian_count:count
-      ~build:(Selectors.meridian_build_tiv_aware m cfg ~predicted)
-      ~fallback:(Selectors.meridian_fallback_tiv_aware m ~predicted ()) ()
-  in
+  let r_aware = run_aware ctx ~salt:241 m cfg ~count in
   Report.measured
     "probes: original %d, TIV-alert %d (%+.1f%%); restarts %d over %d queries"
     r_orig.Experiment.probes r_aware.Experiment.probes
@@ -56,16 +62,11 @@ let fig25 ctx =
   let m = Context.matrix ctx in
   let count = Context.meridian_count_ideal ctx in
   let cfg = Ring.unlimited_config (Matrix.size m) in
-  let predicted = predicted_fn ctx in
   let r_orig =
     Experiment.run_meridian (Context.rng ctx 25) m ~runs:5 ~meridian_count:count
       ~build:(Selectors.meridian_build m cfg) ()
   in
-  let r_aware =
-    Experiment.run_meridian (Context.rng ctx 251) m ~runs:5 ~meridian_count:count
-      ~build:(Selectors.meridian_build_tiv_aware m cfg ~predicted)
-      ~fallback:(Selectors.meridian_fallback_tiv_aware m ~predicted ()) ()
-  in
+  let r_aware = run_aware ctx ~salt:251 m cfg ~count in
   let r_noterm =
     Experiment.run_meridian (Context.rng ctx 252) m ~runs:5 ~meridian_count:count
       ~termination:Query.Any_improvement

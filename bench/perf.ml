@@ -128,7 +128,10 @@ let tests () =
            if Overlay.is_meridian overlay start
               && (not (Overlay.is_meridian overlay target))
               && not (Matrix.is_missing m start target)
-           then ignore (Query.closest overlay m ~start ~target)));
+           then
+             ignore
+               (Query.closest_engine overlay (Engine.of_matrix m) ~start
+                  ~target)));
     Test.make ~name:"generator/200-nodes"
       (Staged.stage (fun () ->
            ignore (Datasets.generate ~size:200 ~seed:5 Datasets.Ds2)));

@@ -15,6 +15,7 @@ module Stats = Tivaware_util.Stats
 module Matrix = Tivaware_delay_space.Matrix
 module Datasets = Tivaware_topology.Datasets
 module Generator = Tivaware_topology.Generator
+module Delay_backend = Tivaware_backend.Delay_backend
 module Chord = Tivaware_dht.Chord
 module Id_space = Tivaware_dht.Id_space
 module Dynamic_neighbors = Tivaware_vivaldi.Dynamic_neighbors
@@ -29,12 +30,16 @@ let () =
   Dynamic_neighbors.run aware
     { Dynamic_neighbors.rounds_per_iteration = 100; iterations = 5 };
 
+  let backend = Delay_backend.dense m in
+  let n = Matrix.size m in
   let overlays =
     [
-      ("plain Chord", Chord.build m);
-      ("PNS / Vivaldi", Chord.build ~predict:(Selectors.vivaldi_predict vivaldi) m);
-      ("PNS / TIV-aware", Chord.build ~predict:(Selectors.vivaldi_predict aware) m);
-      ("PNS / oracle", Chord.build ~predict:(fun a b -> Matrix.get m a b) m);
+      ("plain Chord", Chord.build_sized n);
+      ( "PNS / Vivaldi",
+        Chord.build_backend ~predict:(Selectors.vivaldi_predict vivaldi) backend );
+      ( "PNS / TIV-aware",
+        Chord.build_backend ~predict:(Selectors.vivaldi_predict aware) backend );
+      ("PNS / oracle", Chord.build_backend backend);
     ]
   in
 
@@ -42,7 +47,7 @@ let () =
   let rng = Rng.create 43 in
   let workload =
     Array.init 1000 (fun _ ->
-        (Rng.int rng (Matrix.size m), Rng.int rng Id_space.modulus))
+        (Rng.int rng n, Rng.int rng Id_space.modulus))
   in
 
   Printf.printf "%-18s %10s %12s %12s %10s\n" "finger selection" "mean hops"
@@ -52,7 +57,7 @@ let () =
       let latencies = ref [] and hops = ref 0 in
       Array.iter
         (fun (source, key) ->
-          let l = Chord.lookup overlay m ~source ~key in
+          let l = Chord.lookup_backend overlay backend ~source ~key in
           latencies := l.Chord.latency :: !latencies;
           hops := !hops + l.Chord.hops)
         workload;

@@ -16,6 +16,7 @@ module Generator = Tivaware_topology.Generator
 module Ring = Tivaware_meridian.Ring
 module Overlay = Tivaware_meridian.Overlay
 module Query = Tivaware_meridian.Query
+module Engine = Tivaware_measure.Engine
 
 let () =
   let data = Datasets.generate ~size:220 ~seed:51 Datasets.Ds2 in
@@ -29,6 +30,7 @@ let () =
     Array.to_list (Rng.permutation (Rng.create 54) 220)
     |> List.filter (fun i -> not (Overlay.is_meridian overlay i))
   in
+  let engine = Engine.of_matrix m in
   let penalties = ref [] and perfect = ref 0 and elections = ref 0 in
   (* 100 elections over random 4-member groups. *)
   let rec groups k remaining =
@@ -38,17 +40,19 @@ let () =
       | a :: b :: c :: d :: rest ->
         let targets = [ a; b; c; d ] in
         let start = meridian_nodes.(Rng.int rng (Array.length meridian_nodes)) in
+        (* A start that cannot measure every member answers [nan]: no
+           election. *)
         (match
-           ( Query.closest_multi overlay m ~start ~targets,
+           ( Query.closest_multi_engine overlay engine ~start ~targets,
              Query.optimal_multi overlay m ~targets )
          with
-        | outcome, Some (_, opt) when opt > 0. ->
+        | outcome, Some (_, opt)
+          when opt > 0. && not (Float.is_nan outcome.Query.chosen_delay) ->
           incr elections;
           let penalty = (outcome.Query.chosen_delay -. opt) /. opt *. 100. in
           penalties := penalty :: !penalties;
           if penalty <= 1e-9 then incr perfect
-        | _ -> ()
-        | exception Invalid_argument _ -> ());
+        | _ -> ());
         groups (k - 1) rest
       | _ -> ()
     end

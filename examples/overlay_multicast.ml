@@ -14,6 +14,7 @@ module Rng = Tivaware_util.Rng
 module Matrix = Tivaware_delay_space.Matrix
 module Datasets = Tivaware_topology.Datasets
 module Generator = Tivaware_topology.Generator
+module Delay_backend = Tivaware_backend.Delay_backend
 module Multicast = Tivaware_overlay.Multicast
 module Dynamic_neighbors = Tivaware_vivaldi.Dynamic_neighbors
 module Selectors = Tivaware_core.Selectors
@@ -28,16 +29,16 @@ let () =
   let m = data.Generator.matrix in
   let rng = Rng.create 23 in
   let join_order = Rng.permutation rng (Matrix.size m) in
+  let backend = Delay_backend.dense m in
 
   (* Mechanism 1: full-measurement oracle (brute-force probing). *)
-  let oracle =
-    Multicast.build m ~join_order ~predict:(fun a b -> Matrix.get m a b)
-  in
+  let oracle = Multicast.build_backend backend ~join_order in
 
   (* Mechanism 2: raw Vivaldi coordinates. *)
   let vivaldi = Selectors.embed_vivaldi (Rng.create 24) m in
   let t_vivaldi =
-    Multicast.build m ~join_order ~predict:(Selectors.vivaldi_predict vivaldi)
+    Multicast.build_backend backend ~join_order
+      ~predict:(Selectors.vivaldi_predict vivaldi)
   in
 
   (* Mechanism 3: TIV-aware dynamic-neighbor Vivaldi. *)
@@ -45,14 +46,15 @@ let () =
   Dynamic_neighbors.run aware
     { Dynamic_neighbors.rounds_per_iteration = 100; iterations = 5 };
   let t_aware =
-    Multicast.build m ~join_order ~predict:(Selectors.vivaldi_predict aware)
+    Multicast.build_backend backend ~join_order
+      ~predict:(Selectors.vivaldi_predict aware)
   in
 
   Printf.printf "%-28s %8s %12s %10s %9s %7s %8s\n" "mechanism" "members"
     "edge (ms)" "stretch50" "stretch90" "depth" "fanout";
-  show "oracle (brute force)" (Multicast.evaluate oracle m);
-  show "vivaldi" (Multicast.evaluate t_vivaldi m);
-  show "tiv-aware vivaldi" (Multicast.evaluate t_aware m);
+  show "oracle (brute force)" (Multicast.evaluate_backend oracle backend);
+  show "vivaldi" (Multicast.evaluate_backend t_vivaldi backend);
+  show "tiv-aware vivaldi" (Multicast.evaluate_backend t_aware backend);
 
   (* Parent refresh: three passes under each predictor. *)
   let refresh_rng = Rng.create 25 in
@@ -60,11 +62,11 @@ let () =
   for _ = 1 to 3 do
     total_switches :=
       !total_switches
-      + Multicast.refresh t_aware refresh_rng m
+      + Multicast.refresh_backend t_aware refresh_rng backend
           ~predict:(Selectors.vivaldi_predict aware)
   done;
   Printf.printf "\nafter 3 refresh passes (%d parent switches):\n" !total_switches;
-  show "tiv-aware + refresh" (Multicast.evaluate t_aware m);
+  show "tiv-aware + refresh" (Multicast.evaluate_backend t_aware backend);
   print_endline
     "\nLower stretch = multicast paths closer to direct unicast.\n\
      TIV-aware neighbor sets shrink the gap to the oracle tree."

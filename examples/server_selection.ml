@@ -17,6 +17,7 @@ module Ring = Tivaware_meridian.Ring
 module System = Tivaware_vivaldi.System
 module Experiment = Tivaware_core.Experiment
 module Selectors = Tivaware_core.Selectors
+module Engine = Tivaware_measure.Engine
 module Penalty = Tivaware_core.Penalty
 
 let () =
@@ -34,9 +35,11 @@ let () =
       ~build:(Selectors.meridian_build m cfg) ()
   in
   let aware =
+    let engine = Engine.of_matrix m in
     Experiment.run_meridian (Rng.create 33) m ~runs:3 ~meridian_count:replicas
-      ~build:(Selectors.meridian_build_tiv_aware m cfg ~predicted)
-      ~fallback:(Selectors.meridian_fallback_tiv_aware m ~predicted ()) ()
+      ~build:(Selectors.meridian_build_tiv_aware_engine engine cfg ~predicted)
+      ~fallback:(Selectors.meridian_fallback_tiv_aware_engine engine ~predicted ())
+      ()
   in
 
   let show name (r : Experiment.meridian_result) =

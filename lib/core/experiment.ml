@@ -74,7 +74,13 @@ type meridian_result = {
 let run_meridian rng m ?(runs = 5) ?termination ?fallback ?engine
     ~meridian_count ~build () =
   let n = Matrix.size m in
-  assert (meridian_count > 1 && meridian_count < n);
+  if meridian_count < 2 || meridian_count >= n then
+    invalid_arg
+      (Printf.sprintf
+         "Experiment.run_meridian: meridian count %d must be at least 2 and \
+          below the node count %d"
+         meridian_count n);
+  let engine = match engine with Some e -> e | None -> Engine.of_matrix m in
   let penalties = ref [] and failures = ref 0 in
   let probes = ref 0 and queries = ref 0 and hops = ref 0 and restarts = ref 0 in
   for _ = 1 to runs do
@@ -89,17 +95,12 @@ let run_meridian rng m ?(runs = 5) ?termination ?fallback ?engine
         | Some (_, opt_d) -> (
           if Float.is_nan (Matrix.get m start client) then incr failures
           else begin
+            (* Service mode: one logical second per query, so cache
+               TTLs and budget refills span queries. *)
+            Engine.advance engine 1.;
             let outcome =
-              match engine with
-              | None ->
-                Query.closest ?termination ?fallback:fb overlay m ~start
-                  ~target:client
-              | Some e ->
-                (* Service mode: one logical second per query, so cache
-                   TTLs and budget refills span queries. *)
-                Engine.advance e 1.;
-                Query.closest_engine ?termination ?fallback:fb overlay e
-                  ~start ~target:client
+              Query.closest_engine ?termination ?fallback:fb overlay engine
+                ~start ~target:client
             in
             incr queries;
             probes := !probes + outcome.Query.probes;

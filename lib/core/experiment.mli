@@ -52,12 +52,14 @@ val run_meridian :
 (** [run_meridian rng m ~meridian_count ~build ()]: per run, samples the
     Meridian subset, calls [build] to construct the overlay (hooks for
     filtered / TIV-aware construction), then queries once per client
-    from a random start node.
+    from a random start node.  Raises [Invalid_argument] unless
+    [2 <= meridian_count < Matrix.size m].
 
-    With [?engine], every query probes through the measurement plane
-    ({!Tivaware_meridian.Query.closest_engine}); the engine clock
-    advances one logical second per query, queries whose start probe
-    fails count as failures, and probe/penalty degradation under
-    loss/jitter shows up in the result.  [m] stays the ground truth:
-    noisy measurements steer the choice, but the penalty charges the
-    chosen node's true delay against the true optimum. *)
+    Every query probes through the measurement plane
+    ({!Tivaware_meridian.Query.closest_engine}) on [engine] (default: one
+    [Engine.of_matrix m] for the whole call — exact, free probes); the
+    engine clock advances one logical second per query, queries whose
+    start probe fails count as failures, and probe/penalty degradation
+    under loss/jitter shows up in the result.  [m] stays the ground
+    truth: noisy measurements steer the choice, but the penalty charges
+    the chosen node's true delay against the true optimum. *)

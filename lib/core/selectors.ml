@@ -70,17 +70,13 @@ let meridian_build_filtered m cfg ~banned rng nodes =
   let edge_filter a b = not (banned (normalize (a, b))) in
   Overlay.build ~edge_filter rng m cfg ~meridian_nodes:nodes
 
-let meridian_build_tiv_aware m cfg ~predicted ?ts ?tl rng nodes =
-  let placement = Tiv_aware.placement cfg ~predicted ~measured:m ?ts ?tl () in
-  Overlay.build ~placement rng m cfg ~meridian_nodes:nodes
-
+(* Ring delays come from the engine's ground truth, alert ratios from
+   its probes, so any engine works — matrix-backed or lazy. *)
 let meridian_build_tiv_aware_engine engine cfg ~predicted ?ts ?tl rng nodes =
-  let m = Engine.matrix_exn engine in
   let placement = Tiv_aware.placement_engine cfg ~predicted ~engine ?ts ?tl () in
-  Overlay.build ~placement rng m cfg ~meridian_nodes:nodes
-
-let meridian_fallback_tiv_aware m ~predicted ?ts () overlay =
-  Tiv_aware.fallback overlay ~predicted ~measured:m ?ts ()
+  Overlay.build_backend ~placement rng
+    (Tivaware_backend.Delay_backend.of_engine engine)
+    cfg ~meridian_nodes:nodes
 
 let meridian_fallback_tiv_aware_engine engine ~predicted ?ts () overlay =
   Tiv_aware.fallback_engine overlay ~predicted ~engine ?ts ()

@@ -70,17 +70,6 @@ val meridian_build_filtered :
   Tivaware_meridian.Overlay.t
 (** Overlay builder that excludes banned edges from ring construction. *)
 
-val meridian_build_tiv_aware :
-  Tivaware_delay_space.Matrix.t ->
-  Tivaware_meridian.Ring.config ->
-  predicted:(int -> int -> float) ->
-  ?ts:float ->
-  ?tl:float ->
-  Tivaware_util.Rng.t ->
-  int array ->
-  Tivaware_meridian.Overlay.t
-(** Overlay builder with TIV-aware dual ring placement. *)
-
 val meridian_build_tiv_aware_engine :
   Tivaware_measure.Engine.t ->
   Tivaware_meridian.Ring.config ->
@@ -90,18 +79,13 @@ val meridian_build_tiv_aware_engine :
   Tivaware_util.Rng.t ->
   int array ->
   Tivaware_meridian.Overlay.t
-(** TIV-aware overlay builder whose alert ratios are probed through the
-    measurement plane (engine must be matrix-backed). *)
-
-val meridian_fallback_tiv_aware :
-  Tivaware_delay_space.Matrix.t ->
-  predicted:(int -> int -> float) ->
-  ?ts:float ->
-  unit ->
-  Tivaware_meridian.Overlay.t ->
-  Tivaware_meridian.Query.fallback
-(** Query-restart fallback, shaped for {!Experiment.run_meridian}'s
-    [?fallback]. *)
+(** Overlay builder with TIV-aware dual ring placement: ring delays
+    are the engine's ground truth
+    ({!Tivaware_backend.Delay_backend.of_engine}), and the alert ratios
+    are probed through the measurement plane.  Works on any engine,
+    matrix-backed or lazy; over [Engine.of_matrix m] with the default
+    configuration the rings are those of a plain matrix build with the
+    same placement hook. *)
 
 val meridian_fallback_tiv_aware_engine :
   Tivaware_measure.Engine.t ->
@@ -110,4 +94,6 @@ val meridian_fallback_tiv_aware_engine :
   unit ->
   Tivaware_meridian.Overlay.t ->
   Tivaware_meridian.Query.fallback
-(** Measurement-plane variant of {!meridian_fallback_tiv_aware}. *)
+(** TIV-aware query-restart fallback, shaped for
+    {!Experiment.run_meridian}'s [?fallback]; alert ratios are probed
+    through the engine. *)

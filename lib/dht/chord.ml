@@ -1,5 +1,3 @@
-module Matrix = Tivaware_delay_space.Matrix
-
 type t = {
   ids : int array;  (* ids.(node) = identifier *)
   sorted : (int * int) array;  (* (id, node), ascending by id *)
@@ -193,13 +191,9 @@ let build_sized ?(candidates = 8) ?(successor_list = 4) ?predict n =
     dead = Array.make n false;
   }
 
-let build ?candidates ?successor_list ?predict m =
-  build_sized ?candidates ?successor_list ?predict (Matrix.size m)
-
-(* The id-space structure needs only a node count, so a backend-built
-   overlay is identical to a matrix-built one whenever the backends
-   agree on delays — which the dense==lazy-densified equivalence tests
-   lean on. *)
+(* The id-space structure needs only a node count, so two backends
+   that agree on delays build identical overlays — which the
+   dense==lazy-densified equivalence tests lean on. *)
 let build_backend ?candidates ?successor_list ?predict backend =
   let module B = Tivaware_backend.Delay_backend in
   let predict =
@@ -260,8 +254,6 @@ let lookup_fn t delay ~source ~key =
   in
   route_from source 0. 0 [ source ]
 
-let lookup t m ~source ~key = lookup_fn t (Matrix.get m) ~source ~key
-
 let lookup_backend t backend ~source ~key =
   lookup_fn t (Tivaware_backend.Delay_backend.query backend) ~source ~key
 
@@ -269,7 +261,7 @@ let lookup_backend t backend ~source ~key =
    engine (budgets, faults, cache all apply), while id-space structure
    needs only the engine's node count — so matrix-backed and lazy
    backend engines both work.  Under the default (exact-oracle) config
-   this is bit-for-bit [build ~predict:(Matrix.get m) m]. *)
+   this is bit-for-bit [build_backend] over the engine's ground truth. *)
 let build_engine ?candidates ?successor_list ?(label = "dht") engine =
   let module Engine = Tivaware_measure.Engine in
   build_sized ?candidates ?successor_list

@@ -46,7 +46,7 @@ let closest ?(termination = Query.Threshold) sim overlay matrix ~client ~start
   if Float.is_nan (rtt start target) then
     invalid_arg "Online.closest: no measurement between start and target";
   let beta = (Overlay.config overlay).Ring.beta in
-  let st = Query.make_probe_state matrix ~target in
+  let st = Query.make_probe_state_engine (Engine.of_matrix matrix) ~target in
   let visited = Hashtbl.create 16 in
   let send_time = Sim.now sim in
   let finished = ref None in

@@ -1,6 +1,6 @@
 (** Online Meridian queries over the discrete-event simulator.
 
-    {!Query.closest} evaluates a query instantaneously; this module
+    {!Query.closest_engine} evaluates a query instantaneously; this module
     replays the same recursive protocol as timed message exchanges on a
     {!Tivaware_eventsim.Sim.t}, yielding wall-clock (virtual time) query
     latency in addition to probe counts:
@@ -18,8 +18,8 @@
       chosen RTT.
 
     The recursion, acceptance window, termination rule and answer are
-    identical to {!Query.closest} — property tests assert this — so the
-    module adds {e timing}, not different semantics. *)
+    identical to {!Query.closest_engine} — property tests assert this —
+    so the module adds {e timing}, not different semantics. *)
 
 type outcome = {
   query : Query.outcome;  (** the logical result (same as offline) *)
@@ -35,10 +35,19 @@ val closest :
   start:int ->
   target:int ->
   outcome
-(** Runs the simulator until the query completes.  The simulator's
-    clock keeps advancing across calls, so one [Sim.t] can serve many
-    sequential queries.  Raises like {!Query.closest}; additionally the
-    client must have a measured delay to the start node. *)
+(** Runs the simulator until the query completes, timing every probe
+    by its matrix RTT.  The simulator's clock keeps advancing across
+    calls, so one [Sim.t] can serve many sequential queries.  Raises
+    [Invalid_argument] unless [start] is a Meridian node with measured
+    delays to both the client and the target.
+
+    This is not {!closest_engine} over [Engine.of_matrix]: on a matrix
+    with missing pairs the two diverge.  Here a member whose delay to
+    the target is unmeasured reports [nan] at no cost (the matrix has
+    nothing to wait for), while the engine replay charges the probe's
+    full failure cost — the {!Tivaware_measure.Fault} timeout — on the
+    hop.  The matrix replay is the paper's oracle timing model and
+    what the [abl-online] experiment reports, so it stays. *)
 
 val attach : Tivaware_eventsim.Sim.t -> Tivaware_measure.Engine.t -> unit
 (** Slaves the engine's logical clock (seconds) to the simulator's
@@ -67,7 +76,8 @@ val closest_engine :
     [chosen_delay = nan], same convention as the offline path), and
     [latency] now includes what measurement actually cost.  Under
     {!Tivaware_measure.Engine.default_config} the outcome and latency
-    are identical to {!closest} on the same (complete) matrix.  The
+    are identical to {!closest} on the same matrix when every pair is
+    measured (see {!closest} for how missing pairs diverge).  The
     engine should be created with [charge_time = false] here — the
     simulator owns time; pair with {!attach} to keep the engine clock
     in sync.  Ground truth is recovered with

@@ -58,20 +58,6 @@ val build :
     restricts which peers [node] may file into its rings — e.g. the
     members it discovered through {!Gossip}. *)
 
-val build_delay :
-  ?edge_filter:(int -> int -> bool) ->
-  ?placement:(int -> int -> float -> (int * float) list) ->
-  ?selection:selection ->
-  ?candidates:(int -> int array) ->
-  Tivaware_util.Rng.t ->
-  delay:(int -> int -> float) ->
-  Ring.config ->
-  meridian_nodes:int array ->
-  t
-(** The core of {!build} over an arbitrary delay function ([nan] =
-    unmeasurable).  [build rng matrix ...] is exactly
-    [build_delay rng ~delay:(Matrix.get matrix) ...]. *)
-
 val build_backend :
   ?edge_filter:(int -> int -> bool) ->
   ?placement:(int -> int -> float -> (int * float) list) ->
@@ -82,7 +68,7 @@ val build_backend :
   Ring.config ->
   meridian_nodes:int array ->
   t
-(** {!build_delay} over a delay backend.  [candidate_budget] bounds
+(** {!build} over a delay backend.  [candidate_budget] bounds
     each node's discovery to that many uniformly sampled peers (instead
     of a shuffle of {e all} participants), so ring construction over an
     N-node lazy space costs O(meridian · budget) queries rather than

@@ -35,9 +35,6 @@ let make_probe_state_engine engine ~target =
     best_delay = infinity;
   }
 
-let make_probe_state matrix ~target =
-  make_probe_state_engine (Engine.of_matrix matrix) ~target
-
 let probe_cached st node = Hashtbl.mem st.probe_cache node
 let probe_count st = st.probes
 let best_seen st = (st.best, st.best_delay)
@@ -131,7 +128,7 @@ let accepts termination ~beta ~d ~candidate_delay =
 let closest_engine ?(termination = Threshold) ?fallback overlay engine ~start
     ~target =
   if not (Overlay.is_meridian overlay start) then
-    invalid_arg "Query.closest: start is not a Meridian node";
+    invalid_arg "Query.closest_engine: start is not a Meridian node";
   let beta = (Overlay.config overlay).Ring.beta in
   let st = make_probe_state_engine engine ~target in
   st.best <- start;
@@ -202,15 +199,6 @@ let closest_engine ?(termination = Threshold) ?fallback overlay engine ~start
     }
   end
 
-let closest ?termination ?fallback overlay matrix ~start ~target =
-  if not (Overlay.is_meridian overlay start) then
-    invalid_arg "Query.closest: start is not a Meridian node";
-  if Float.is_nan (Matrix.get matrix start target) then
-    invalid_arg "Query.closest: no measurement between start and target";
-  (* Oracle mode: a throwaway default engine is a plain matrix view. *)
-  closest_engine ?termination ?fallback overlay (Engine.of_matrix matrix)
-    ~start ~target
-
 (* Max-norm delay of [node] to the target set; [nan] if any measurement
    is missing. *)
 let max_norm matrix node targets =
@@ -225,9 +213,9 @@ let max_norm matrix node targets =
 
 let closest_multi_engine ?(termination = Threshold) overlay engine ~start
     ~targets =
-  if targets = [] then invalid_arg "Query.closest_multi: no targets";
+  if targets = [] then invalid_arg "Query.closest_multi_engine: no targets";
   if not (Overlay.is_meridian overlay start) then
-    invalid_arg "Query.closest_multi: start is not a Meridian node";
+    invalid_arg "Query.closest_multi_engine: start is not a Meridian node";
   let beta = (Overlay.config overlay).Ring.beta in
   let probes = ref 0 in
   let cache = Hashtbl.create 64 in
@@ -308,15 +296,6 @@ let closest_multi_engine ?(termination = Threshold) overlay engine ~start
       path = List.rev path;
     }
   end
-
-let closest_multi ?termination overlay matrix ~start ~targets =
-  if targets = [] then invalid_arg "Query.closest_multi: no targets";
-  if not (Overlay.is_meridian overlay start) then
-    invalid_arg "Query.closest_multi: start is not a Meridian node";
-  if Float.is_nan (max_norm matrix start targets) then
-    invalid_arg "Query.closest_multi: start cannot measure every target";
-  closest_multi_engine ?termination overlay (Engine.of_matrix matrix) ~start
-    ~targets
 
 let optimal_multi overlay matrix ~targets =
   if targets = [] then invalid_arg "Query.optimal_multi: no targets";

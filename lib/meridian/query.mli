@@ -10,9 +10,12 @@
     improvement exists (the idealized "no termination condition" mode
     of Section 3.2.2).
 
-    Probes are delay-matrix lookups; each distinct (node, target)
-    measurement within a query is counted once (values are cached, as a
-    real implementation would within one query).  The answer returned
+    Probes go through a measurement-plane engine; each distinct
+    (node, target) measurement within a query is counted once (values
+    are cached, as a real implementation would within one query).  An
+    engine over [Engine.of_matrix m] with the default configuration is
+    the paper's oracle setting: every probe is a free, exact matrix
+    lookup.  The answer returned
     to the client is the best node observed among all probed
     participants, as in the paper's Figure 12 narrative. *)
 
@@ -35,20 +38,6 @@ type fallback =
     [current]; returns extra members to probe before the rule is
     re-evaluated once.  Used by {!Tiv_aware}. *)
 
-val closest :
-  ?termination:termination ->
-  ?fallback:fallback ->
-  Overlay.t ->
-  Tivaware_delay_space.Matrix.t ->
-  start:int ->
-  target:int ->
-  outcome
-(** [closest overlay matrix ~start ~target].  [start] must be a Meridian
-    node and [target] must have a measured delay to it; otherwise
-    [Invalid_argument].  Default termination is [Threshold] with the
-    overlay's [beta].  Oracle mode: probes are free matrix lookups
-    (a throwaway default {!Tivaware_measure.Engine} under the hood). *)
-
 val closest_engine :
   ?termination:termination ->
   ?fallback:fallback ->
@@ -57,12 +46,15 @@ val closest_engine :
   start:int ->
   target:int ->
   outcome
-(** As {!closest}, but every probe pays the measurement plane: loss,
-    jitter, outages and budget denials make nodes unmeasurable for the
-    rest of the query.  When the start node's own probe of the target
-    fails the query returns immediately with [chosen_delay = nan]
-    (instead of raising) so drivers under injected faults degrade
-    gracefully. *)
+(** [closest_engine overlay engine ~start ~target].  [start] must be a
+    Meridian node, otherwise [Invalid_argument].  Default termination
+    is [Threshold] with the overlay's [beta].  Every probe pays the
+    measurement plane: loss, jitter, outages and budget denials make
+    nodes unmeasurable for the rest of the query.  When the start
+    node's own probe of the target fails — an unmeasured pair included
+    — the query returns immediately with [chosen_delay = nan] and
+    counts a [meridian.query_failures] in the engine's registry, so
+    drivers degrade gracefully instead of raising. *)
 
 val optimal :
   Overlay.t -> Tivaware_delay_space.Matrix.t -> target:int -> (int * float) option
@@ -76,19 +68,6 @@ val optimal :
     a set of targets.  The recursion is the same with the max-norm in
     place of the single delay; TIVs disturb it the same way. *)
 
-val closest_multi :
-  ?termination:termination ->
-  Overlay.t ->
-  Tivaware_delay_space.Matrix.t ->
-  start:int ->
-  targets:int list ->
-  outcome
-(** [closest_multi overlay m ~start ~targets]: [chosen_delay] is the
-    max-norm delay of the chosen node to the target set.  A node with a
-    missing measurement to any target is skipped as a candidate.
-    Raises [Invalid_argument] on an empty target list, a non-Meridian
-    start, or when [start] cannot measure every target. *)
-
 val closest_multi_engine :
   ?termination:termination ->
   Overlay.t ->
@@ -96,9 +75,12 @@ val closest_multi_engine :
   start:int ->
   targets:int list ->
   outcome
-(** Measurement-plane variant of {!closest_multi}; a failed probe to
-    any target makes the probing node ineligible, and a failed start
-    measurement returns [chosen_delay = nan] instead of raising. *)
+(** [closest_multi_engine overlay engine ~start ~targets]: [chosen_delay]
+    is the max-norm delay of the chosen node to the target set.  A
+    failed probe to any target (a missing measurement included) makes
+    the probing node ineligible, and a failed start measurement
+    returns [chosen_delay = nan].  Raises [Invalid_argument] on an
+    empty target list or a non-Meridian start. *)
 
 val optimal_multi :
   Overlay.t -> Tivaware_delay_space.Matrix.t -> targets:int list -> (int * float) option
@@ -110,9 +92,6 @@ val optimal_multi :
     event simulator.  Not intended for general use. *)
 
 type probe_state
-
-val make_probe_state : Tivaware_delay_space.Matrix.t -> target:int -> probe_state
-(** Oracle mode (wraps the matrix in a default engine). *)
 
 val make_probe_state_engine :
   Tivaware_measure.Engine.t -> target:int -> probe_state

@@ -1,4 +1,3 @@
-module Matrix = Tivaware_delay_space.Matrix
 module Engine = Tivaware_measure.Engine
 
 let default_ts = 0.6
@@ -21,9 +20,6 @@ let placement_engine cfg ~predicted ~engine ?(ts = default_ts)
       else [ measured_entry; (predicted_ring, p) ]
     end
 
-let placement cfg ~predicted ~measured ?ts ?tl () =
-  placement_engine cfg ~predicted ~engine:(Engine.of_matrix measured) ?ts ?tl ()
-
 let fallback_engine overlay ~predicted ~engine ?(ts = default_ts) () :
     Query.fallback =
  fun ~current ~target ~measured:d ->
@@ -40,6 +36,3 @@ let fallback_engine overlay ~predicted ~engine ?(ts = default_ts) () :
       (fun m -> m.Overlay.delay >= lo && m.Overlay.delay <= hi)
       (Overlay.all_members overlay current)
   end
-
-let fallback overlay ~predicted ~measured ?ts () =
-  fallback_engine overlay ~predicted ~engine:(Engine.of_matrix measured) ?ts ()

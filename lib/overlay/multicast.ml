@@ -1,6 +1,6 @@
 module Rng = Tivaware_util.Rng
 module Stats = Tivaware_util.Stats
-module Matrix = Tivaware_delay_space.Matrix
+module Delay_backend = Tivaware_backend.Delay_backend
 
 type config = {
   max_degree : int;
@@ -39,14 +39,11 @@ let children t node =
     t.parent;
   List.rev !out
 
-(* [known] abstracts [Matrix.known]: whether the pair can carry a tree
-   edge at all.  Backends answer it as "query is not nan", matrices as
-   membership — identical for a matrix-wrapping backend. *)
-let known_of_matrix m node cand = Matrix.known m node cand
-
+(* [known]: whether the pair can carry a tree edge at all — the
+   backend's query is not nan, which for a matrix-wrapping backend is
+   exactly [Matrix.known]. *)
 let known_of_backend b node cand =
-  node <> cand
-  && not (Float.is_nan (Tivaware_backend.Delay_backend.query b node cand))
+  node <> cand && not (Float.is_nan (Delay_backend.query b node cand))
 
 (* Predicted-nearest joined member with spare degree among candidates. *)
 let best_attachment t ~known ~predict node candidates =
@@ -97,17 +94,12 @@ let build_general ?(config = default_config) ~n ~known ~join_order ~predict () =
     join_order;
   t
 
-let build ?config m ~join_order ~predict =
-  build_general ?config ~n:(Matrix.size m) ~known:(known_of_matrix m)
-    ~join_order ~predict ()
-
 let build_backend ?config ?predict backend ~join_order =
-  let module B = Tivaware_backend.Delay_backend in
   let predict =
-    match predict with Some p -> p | None -> B.query backend
+    match predict with Some p -> p | None -> Delay_backend.query backend
   in
-  build_general ?config ~n:(B.size backend) ~known:(known_of_backend backend)
-    ~join_order ~predict ()
+  build_general ?config ~n:(Delay_backend.size backend)
+    ~known:(known_of_backend backend) ~join_order ~predict ()
 
 (* Is [candidate] in the subtree rooted at [node]?  Switching to a
    descendant would create a cycle.  A top-level ascent, so a call
@@ -195,13 +187,9 @@ let refresh_general t rng ~known ~predict =
     order;
   !switches
 
-let refresh t rng m ~predict =
-  refresh_general t rng ~known:(known_of_matrix m) ~predict
-
 let refresh_backend ?predict t rng backend =
-  let module B = Tivaware_backend.Delay_backend in
   let predict =
-    match predict with Some p -> p | None -> B.query backend
+    match predict with Some p -> p | None -> Delay_backend.query backend
   in
   refresh_general t rng ~known:(known_of_backend backend) ~predict
 
@@ -264,10 +252,7 @@ let evaluate_fn ?(on_missing = fun () -> ()) t delay =
     max_fanout = Array.fold_left max 0 t.degree;
   }
 
-let evaluate t m = evaluate_fn t (Matrix.get m)
-
-let evaluate_backend t backend =
-  evaluate_fn t (Tivaware_backend.Delay_backend.query backend)
+let evaluate_backend t backend = evaluate_fn t (Delay_backend.query backend)
 
 (* Evaluation against the engine's ground truth, with the nan audit:
    every silent fallback (missing tree edge, unmeasurable direct root
@@ -386,8 +371,8 @@ let repair_general t rng ~known ~predict ~up =
     t.wants;
   { detached = !detached; reattached = !reattached; rejoined = !rejoined }
 
-let repair t rng m ~predict ~up =
-  repair_general t rng ~known:(known_of_matrix m) ~predict ~up
+let repair t rng backend ~predict ~up =
+  repair_general t rng ~known:(known_of_backend backend) ~predict ~up
 
 (* Edge existence against the engine's ground truth, whatever backs
    it: a matrix pair is known iff its oracle query is non-nan, so this
@@ -432,8 +417,8 @@ let repair_engine ?(label = "multicast-repair") ?predict t rng engine =
 (* Measurement-plane neighbor selection: joins and refreshes predict
    edge delays by probing through the engine; edge existence consults
    the engine's ground truth directly (matrix or lazy backend alike).
-   Oracle-mode default over a matrix reproduces
-   [build ~predict:(Matrix.get m)] bit-for-bit. *)
+   Oracle-mode default reproduces [build_backend] over the engine's
+   ground truth bit-for-bit. *)
 let build_engine ?config ?(label = "multicast") ?predict engine ~join_order =
   let module Engine = Tivaware_measure.Engine in
   let predict =

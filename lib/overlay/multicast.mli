@@ -39,43 +39,20 @@ val children : t -> int -> int list
     chunk-forwarding overlay pushes to.  Empty for leaves, for the
     un-joined, and for nodes whose children all left. *)
 
-val build :
-  ?config:config ->
-  Tivaware_delay_space.Matrix.t ->
-  join_order:int array ->
-  predict:(int -> int -> float) ->
-  t
-(** [build m ~join_order ~predict] grows the tree: [join_order.(0)]
-    is the root; every other node attaches to the predicted-nearest
-    member with spare degree.  Nodes with no measurable candidate are
-    left out (reported by {!members}). *)
-
-val refresh :
-  t ->
-  Tivaware_util.Rng.t ->
-  Tivaware_delay_space.Matrix.t ->
-  predict:(int -> int -> float) ->
-  int
-(** One refresh pass over all non-root members in random order: sample
-    candidates and switch parents when a member offers a strictly
-    smaller {e predicted root delay} (its tree delay to the root plus
-    the predicted edge to it) and has spare degree.  Descendants are
-    excluded to keep the tree acyclic.  Optimizing end-to-end delay
-    rather than the parent edge alone prevents refresh from collapsing
-    the tree into long low-latency chains.  Returns the number of
-    parent switches. *)
-
 val build_backend :
   ?config:config ->
   ?predict:(int -> int -> float) ->
   Tivaware_backend.Delay_backend.t ->
   join_order:int array ->
   t
-(** {!build} over any delay backend: edge existence is "the backend's
-    query is not [nan]" (identical to [Matrix.known] for a
-    matrix-wrapping backend), and the predictor defaults to the
-    backend's own delays.  Two backends that agree on every queried
-    pair grow identical trees. *)
+(** [build_backend b ~join_order] grows the tree over any delay
+    backend: [join_order.(0)] is the root; every other node attaches to
+    the predicted-nearest member with spare degree.  A pair can carry
+    an edge when the backend's query is not [nan] (identical to
+    [Matrix.known] for a matrix-wrapping backend); the predictor
+    defaults to the backend's own delays.  Nodes with no measurable
+    candidate are left out (reported by {!members}).  Two backends that
+    agree on every queried pair grow identical trees. *)
 
 val refresh_backend :
   ?predict:(int -> int -> float) ->
@@ -83,8 +60,15 @@ val refresh_backend :
   Tivaware_util.Rng.t ->
   Tivaware_backend.Delay_backend.t ->
   int
-(** {!refresh} over a delay backend, with the same edge-existence and
-    default-predictor conventions as {!build_backend}. *)
+(** One refresh pass over all non-root members in random order: sample
+    candidates and switch parents when a member offers a strictly
+    smaller {e predicted root delay} (its tree delay to the root plus
+    the predicted edge to it) and has spare degree.  Descendants are
+    excluded to keep the tree acyclic.  Optimizing end-to-end delay
+    rather than the parent edge alone prevents refresh from collapsing
+    the tree into long low-latency chains.  Same edge-existence and
+    default-predictor conventions as {!build_backend}.  Returns the
+    number of parent switches. *)
 
 (** {2 Churn-aware tree repair} *)
 
@@ -97,11 +81,12 @@ type repair = {
 val repair :
   t ->
   Tivaware_util.Rng.t ->
-  Tivaware_delay_space.Matrix.t ->
+  Tivaware_backend.Delay_backend.t ->
   predict:(int -> int -> float) ->
   up:(int -> bool) ->
   repair
-(** One repair pass against a liveness oracle [up]: down members are
+(** One repair pass against a liveness oracle [up], with edge existence
+    read from the backend as in {!build_backend}: down members are
     detached (their children orphaned), every orphan re-attaches to the
     best live member with spare degree among a sampled candidate set
     (the root is always a candidate, so the tree cannot fragment while
@@ -133,13 +118,13 @@ val build_engine :
   Tivaware_measure.Engine.t ->
   join_order:int array ->
   t
-(** {!build} with the predictor probing through the measurement plane
-    ([label] defaults to ["multicast"]); joins consult the engine's
-    ground truth for edge existence — matrix-backed and lazy backend
-    engines both work.  [predict] overrides the attachment predictor
-    (policy-ranked joins); any probes it issues are its own business.
-    Oracle-mode default config over a matrix reproduces
-    [build ~predict:(Matrix.get m)] bit-for-bit. *)
+(** {!build_backend} with the predictor probing through the measurement
+    plane ([label] defaults to ["multicast"]); joins consult the
+    engine's ground truth for edge existence — matrix-backed and lazy
+    backend engines both work.  [predict] overrides the attachment
+    predictor (policy-ranked joins); any probes it issues are its own
+    business.  Oracle-mode default config reproduces {!build_backend}
+    over the engine's ground truth bit-for-bit. *)
 
 val refresh_engine :
   ?label:string ->
@@ -148,7 +133,7 @@ val refresh_engine :
   Tivaware_util.Rng.t ->
   Tivaware_measure.Engine.t ->
   int
-(** {!refresh} with engine-mediated predictions; same label,
+(** {!refresh_backend} with engine-mediated predictions; same label,
     ground-truth and [predict]-override conventions as
     {!build_engine}. *)
 
@@ -161,25 +146,16 @@ type metrics = {
   max_fanout : int;
 }
 
-val evaluate : t -> Tivaware_delay_space.Matrix.t -> metrics
-(** Tree quality under {e measured} delays.  Stretch is computed for
-    members with a measured direct delay to the root. *)
-
-val evaluate_fn :
-  ?on_missing:(unit -> unit) -> t -> (int -> int -> float) -> metrics
-(** {!evaluate} generalized over any delay function ([nan] = missing
-    measurement, as with a matrix).  [on_missing] is invoked once per
-    silent [nan] fallback — a missing parent edge (contributes zero to
-    the tree path) or a member with no measurable direct root delay
-    (drops out of the stretch percentiles); default: ignore, the
-    historical behaviour. *)
-
 val evaluate_backend : t -> Tivaware_backend.Delay_backend.t -> metrics
-(** {!evaluate} judged by a delay backend's answers. *)
+(** Tree quality under the backend's {e measured} delays.  A missing
+    parent edge ([nan]) contributes zero to the tree path; stretch is
+    computed for members with a measured direct delay to the root. *)
 
 val evaluate_engine : t -> Tivaware_measure.Engine.t -> metrics
-(** {!evaluate_fn} against the engine's ground-truth oracle, with the
-    nan-sentinel audit: every silent fallback increments the engine
-    registry's [multicast.evaluate_failures] counter (and a trace event
-    summarizes the drop count), mirroring [meridian.query_failures] —
-    no unmeasurable edge vanishes into the percentiles unrecorded. *)
+(** {!evaluate_backend} against the engine's ground-truth oracle, with
+    the nan-sentinel audit: every silent fallback — a missing parent
+    edge or a member with no measurable direct root delay —
+    increments the engine registry's [multicast.evaluate_failures]
+    counter (and a trace event summarizes the drop count), mirroring
+    [meridian.query_failures], so no unmeasurable edge vanishes into
+    the percentiles unrecorded. *)

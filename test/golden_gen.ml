@@ -400,8 +400,8 @@ let stabilize () =
             if Churn.is_up c source then begin
               incr looked;
               let l =
-                Chord.lookup_fn chord
-                  (fun u v -> Engine.rtt ~label:"dht" e u v)
+                Chord.lookup_backend chord
+                  (Backend.of_fn ~size:n (Engine.rtt ~label:"dht" e))
                   ~source ~key
               in
               if

@@ -1,5 +1,5 @@
 (* Tests for the delay-plane backends: query semantics, dense-backend
-   equivalence with the raw-matrix paths on every protocol, lazy
+   equivalence with plain [Matrix.get] on every protocol, lazy
    per-pair determinism, the memo LRU bound, and the
    synthesized-then-densified property harness. *)
 
@@ -193,6 +193,11 @@ let test_equiv_meridian_closest () =
   let m = euclidean_matrix 25 50 in
   let nodes = Rng.sample_indices (Rng.create 26) ~n:50 ~k:25 in
   let overlay = Overlay.build (Rng.create 27) m ring_cfg ~meridian_nodes:nodes in
+  (* Reference sides: the oracle-mode matrix engine, and a function
+     backend answering plain [Matrix.get] (no matrix behind its
+     oracle). *)
+  let matrix_engine = Engine.of_matrix m in
+  let fn_engine = Backend.engine (Backend.of_fn ~size:50 (Matrix.get m)) in
   let engine = Backend.engine (Backend.dense m) in
   Array.to_list (Rng.permutation (Rng.create 28) 50)
   |> List.iter (fun target ->
@@ -200,14 +205,15 @@ let test_equiv_meridian_closest () =
            (not (Overlay.is_meridian overlay target))
            && Matrix.known m nodes.(0) target
          then begin
-           let raw = Query.closest overlay m ~start:nodes.(0) ~target in
-           let via =
-             Query.closest_engine overlay engine ~start:nodes.(0) ~target
-           in
-           Alcotest.(check int) "chosen" raw.Query.chosen via.Query.chosen;
-           checkf "chosen delay" raw.Query.chosen_delay via.Query.chosen_delay;
-           Alcotest.(check int) "probes" raw.Query.probes via.Query.probes;
-           Alcotest.(check int) "hops" raw.Query.hops via.Query.hops
+           let query e = Query.closest_engine overlay e ~start:nodes.(0) ~target in
+           let via = query engine in
+           List.iter
+             (fun raw ->
+               Alcotest.(check int) "chosen" raw.Query.chosen via.Query.chosen;
+               checkf "chosen delay" raw.Query.chosen_delay via.Query.chosen_delay;
+               Alcotest.(check int) "probes" raw.Query.probes via.Query.probes;
+               Alcotest.(check int) "hops" raw.Query.hops via.Query.hops)
+             [ query matrix_engine; query fn_engine ]
          end)
 
 let test_equiv_meridian_online () =

@@ -11,6 +11,7 @@ module Penalty = Tivaware_core.Penalty
 module Experiment = Tivaware_core.Experiment
 module Selectors = Tivaware_core.Selectors
 module System = Tivaware_vivaldi.System
+module Engine = Tivaware_measure.Engine
 
 let checkf = Alcotest.check (Alcotest.float 1e-9)
 
@@ -95,6 +96,26 @@ let test_meridian_experiment_counts () =
   Alcotest.(check bool) "probes counted" true (r.Experiment.probes > 0);
   Alcotest.(check bool) "hops non-negative" true (r.Experiment.hops_mean >= 0.)
 
+let test_meridian_count_validation () =
+  (* A Meridian subset as large as the world leaves no clients: a usage
+     error naming both numbers, not an assertion failure. *)
+  let m = euclidean_matrix 9 20 in
+  let run count () =
+    ignore
+      (Experiment.run_meridian (Rng.create 10) m ~runs:1 ~meridian_count:count
+         ~build:(Selectors.meridian_build m Ring.default_config) ())
+  in
+  Alcotest.check_raises "count = size"
+    (Invalid_argument
+       "Experiment.run_meridian: meridian count 20 must be at least 2 and \
+        below the node count 20")
+    (run 20);
+  Alcotest.check_raises "count = 1"
+    (Invalid_argument
+       "Experiment.run_meridian: meridian count 1 must be at least 2 and \
+        below the node count 20")
+    (run 1)
+
 let test_meridian_metric_accuracy () =
   let m = euclidean_matrix 11 80 in
   let cfg = Ring.unlimited_config 80 in
@@ -157,7 +178,7 @@ let test_meridian_build_tiv_aware_dual_entries () =
   let nodes = Rng.sample_indices (Rng.create 19) ~n:80 ~k:40 in
   let plain = Overlay.build rng1 m cfg ~meridian_nodes:nodes in
   let aware =
-    Selectors.meridian_build_tiv_aware m cfg
+    Selectors.meridian_build_tiv_aware_engine (Engine.of_matrix m) cfg
       ~predicted:(fun i j ->
         let d = Matrix.get m i j in
         if Float.is_nan d then nan else d /. 4.)
@@ -169,6 +190,67 @@ let test_meridian_build_tiv_aware_dual_entries () =
       0 nodes
   in
   Alcotest.(check bool) "dual placement adds entries" true (total aware > total plain)
+
+let same_rings cfg a b nodes =
+  Array.iter
+    (fun node ->
+      for i = 1 to cfg.Ring.rings do
+        Alcotest.(check (list (pair int (float 0.))))
+          (Printf.sprintf "node %d ring %d" node i)
+          (List.map
+             (fun mem -> (mem.Overlay.id, mem.Overlay.delay))
+             (Overlay.ring_members a node i))
+          (List.map
+             (fun mem -> (mem.Overlay.id, mem.Overlay.delay))
+             (Overlay.ring_members b node i))
+      done)
+    nodes
+
+let test_meridian_build_tiv_aware_engine_dense () =
+  (* On an oracle-mode matrix engine the builder files exactly the
+     rings a matrix build with the same TIV-aware placement hook does. *)
+  let data = Datasets.generate ~size:80 ~seed:20 Datasets.Ds2 in
+  let m = data.Generator.matrix in
+  let cfg = Ring.default_config in
+  let nodes = Rng.sample_indices (Rng.create 21) ~n:80 ~k:40 in
+  let predicted i j =
+    let d = Matrix.get m i j in
+    if Float.is_nan d then nan else d /. 4.
+  in
+  let engine = Engine.of_matrix m in
+  let from_matrix =
+    Overlay.build
+      ~placement:
+        (Tivaware_meridian.Tiv_aware.placement_engine cfg ~predicted ~engine ())
+      (Rng.create 22) m cfg ~meridian_nodes:nodes
+  in
+  let built =
+    Selectors.meridian_build_tiv_aware_engine engine cfg ~predicted
+      (Rng.create 22) nodes
+  in
+  same_rings cfg from_matrix built nodes
+
+let test_meridian_build_tiv_aware_engine_lazy () =
+  (* A lazily synthesized backend engine has no matrix behind it; the
+     builder must still file members into rings. *)
+  let module Backend = Tivaware_backend.Delay_backend in
+  let data = Datasets.generate ~size:120 ~seed:23 Datasets.Ds2 in
+  let model = Tivaware_topology.Synthesizer.analyze data.Generator.matrix in
+  let backend = Backend.lazy_synth ~seed:24 ~size:60 model in
+  let engine = Backend.engine backend in
+  let nodes = Rng.sample_indices (Rng.create 25) ~n:60 ~k:30 in
+  let overlay =
+    Selectors.meridian_build_tiv_aware_engine engine Ring.default_config
+      ~predicted:(fun i j -> Backend.query backend i j /. 4.)
+      (Rng.create 26) nodes
+  in
+  Array.iter
+    (fun node ->
+      Alcotest.(check bool)
+        (Printf.sprintf "node %d has ring members" node)
+        true
+        (Overlay.all_members overlay node <> []))
+    nodes
 
 let () =
   Alcotest.run "core"
@@ -189,6 +271,7 @@ let () =
       ( "experiment_meridian",
         [
           Alcotest.test_case "counts" `Quick test_meridian_experiment_counts;
+          Alcotest.test_case "count validation" `Quick test_meridian_count_validation;
           Alcotest.test_case "metric accuracy" `Quick test_meridian_metric_accuracy;
         ] );
       ( "selectors",
@@ -197,5 +280,9 @@ let () =
           Alcotest.test_case "filtered vivaldi" `Quick test_filtered_vivaldi_avoids_banned;
           Alcotest.test_case "filtered meridian" `Quick test_meridian_build_filtered;
           Alcotest.test_case "tiv-aware dual entries" `Quick test_meridian_build_tiv_aware_dual_entries;
+          Alcotest.test_case "tiv-aware engine = matrix build" `Quick
+            test_meridian_build_tiv_aware_engine_dense;
+          Alcotest.test_case "tiv-aware lazy engine" `Quick
+            test_meridian_build_tiv_aware_engine_lazy;
         ] );
     ]

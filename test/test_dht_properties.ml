@@ -35,6 +35,7 @@ module Arbiter = Tivaware_measure.Arbiter
 module Probe_stats = Tivaware_measure.Probe_stats
 module Sim = Tivaware_eventsim.Sim
 module Chord = Tivaware_dht.Chord
+module Delay_backend = Tivaware_backend.Delay_backend
 module Id_space = Tivaware_dht.Id_space
 module Obs = Tivaware_obs
 
@@ -222,14 +223,14 @@ let prop_ring_converges (churn_salt, epochs) =
   done;
   (* Lookups from live sources terminate at the owner holding the key. *)
   let g = rng 23 in
-  let m = Lazy.force matrix in
+  let truth = Delay_backend.dense (Lazy.force matrix) in
   let looked = ref 0 in
   while !looked < 40 do
     let source = Rng.int g n in
     if is_up c source then begin
       incr looked;
       let key = Chord.Store.key store (Rng.int g (Chord.Store.key_count store)) in
-      let o = Chord.lookup chord m ~source ~key in
+      let o = Chord.lookup_backend chord truth ~source ~key in
       if not (Chord.Store.holds store ~key ~node:o.Chord.owner) then
         fail "lookup of key %d ended at %d, which does not hold it" key
           o.Chord.owner

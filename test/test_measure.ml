@@ -97,7 +97,10 @@ let test_meridian_engine_path_identical () =
     |> List.find (fun i -> not (Overlay.is_meridian overlay i))
   in
   let start = nodes.(0) in
-  let a = Query.closest overlay m ~start ~target in
+  (* Reference: probes answered by plain [Matrix.get] behind a function
+     oracle, with no matrix for the engine to recover. *)
+  let plain = Engine.create (Oracle.of_fn ~size:60 (Matrix.get m)) in
+  let a = Query.closest_engine overlay plain ~start ~target in
   let b = Query.closest_engine overlay (Engine.of_matrix m) ~start ~target in
   checki "same chosen" a.Query.chosen b.Query.chosen;
   checkf "same delay" a.Query.chosen_delay b.Query.chosen_delay;

@@ -28,6 +28,7 @@ module Eval = Tivaware_tiv.Eval
 module Chord = Tivaware_dht.Chord
 module Id_space = Tivaware_dht.Id_space
 module Multicast = Tivaware_overlay.Multicast
+module Delay_backend = Tivaware_backend.Delay_backend
 
 let prop_seed =
   match Sys.getenv_opt "TIVAWARE_PROP_SEED" with
@@ -814,12 +815,13 @@ let test_zero_fault_profile_equals_oracle_protocols () =
   checkb "alert sweep identical" true
     (alert_points None = alert_points (Some zero_profile));
   (* Chord PNS: identical fingers, hence identical lookups. *)
+  let truth = Delay_backend.dense m in
   let dht_digest profile =
     let overlay = Chord.build_engine ~candidates:6 (mk profile) in
     let r = Rng.create 31 in
     List.init 40 (fun _ ->
         let l =
-          Chord.lookup overlay m ~source:(Rng.int r n)
+          Chord.lookup_backend overlay truth ~source:(Rng.int r n)
             ~key:(Rng.int r Id_space.modulus)
         in
         (l.Chord.hops, l.Chord.latency))
@@ -832,7 +834,7 @@ let test_zero_fault_profile_equals_oracle_protocols () =
     let join_order = Rng.permutation (Rng.create 33) n in
     let t = Multicast.build_engine ~config:Multicast.default_config e ~join_order in
     let switches = Multicast.refresh_engine t (Rng.create 35) e in
-    (Multicast.evaluate t m, switches)
+    (Multicast.evaluate_backend t truth, switches)
   in
   checkb "multicast tree identical" true
     (multicast_digest None = multicast_digest (Some zero_profile))
@@ -1183,7 +1185,9 @@ let test_repair_inert_without_churn () =
     let key = Id_space.add (Id_space.of_node (Rng.int g n)) (Rng.int g 1_000_000) in
     checki "live owner = structural owner" (Chord.owner_of t key)
       (Chord.live_owner_of t key);
-    let o = Chord.lookup t m ~source:(Rng.int g n) ~key in
+    let o =
+      Chord.lookup_backend t (Delay_backend.dense m) ~source:(Rng.int g n) ~key
+    in
     checki "lookup lands on the structural owner" (Chord.owner_of t key)
       o.Chord.owner
   done;

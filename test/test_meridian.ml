@@ -9,6 +9,7 @@ module Overlay = Tivaware_meridian.Overlay
 module Query = Tivaware_meridian.Query
 module Misplacement = Tivaware_meridian.Misplacement
 module Tiv_aware = Tivaware_meridian.Tiv_aware
+module Engine = Tivaware_measure.Engine
 
 let checkf = Alcotest.check (Alcotest.float 1e-9)
 
@@ -202,6 +203,7 @@ let test_query_finds_good_neighbor_on_metric () =
   let rng = Rng.create 17 in
   let nodes = Rng.sample_indices rng ~n:80 ~k:30 in
   let overlay = Overlay.build rng m u ~meridian_nodes:nodes in
+  let engine = Engine.of_matrix m in
   let misses = ref 0 and total = ref 0 in
   for target = 0 to 79 do
     if not (Overlay.is_meridian overlay target) then begin
@@ -209,7 +211,8 @@ let test_query_finds_good_neighbor_on_metric () =
       if Matrix.known m start target then begin
         incr total;
         let outcome =
-          Query.closest ~termination:Query.Any_improvement overlay m ~start ~target
+          Query.closest_engine ~termination:Query.Any_improvement overlay engine
+            ~start ~target
         in
         match Query.optimal overlay m ~target with
         | Some (_, opt) ->
@@ -231,7 +234,10 @@ let test_query_validation () =
     |> List.find (fun i -> not (Overlay.is_meridian overlay i))
   in
   Alcotest.(check bool) "non-meridian start rejected" true
-    (match Query.closest overlay m ~start:outsider ~target:nodes.(0) with
+    (match
+       Query.closest_engine overlay (Engine.of_matrix m) ~start:outsider
+         ~target:nodes.(0)
+     with
     | exception Invalid_argument _ -> true
     | _ -> false)
 
@@ -242,7 +248,9 @@ let test_query_outcome_fields () =
     Array.to_list (Rng.permutation (Rng.create 23) 40)
     |> List.find (fun i -> not (Overlay.is_meridian overlay i))
   in
-  let outcome = Query.closest overlay m ~start:nodes.(0) ~target in
+  let outcome =
+    Query.closest_engine overlay (Engine.of_matrix m) ~start:nodes.(0) ~target
+  in
   Alcotest.(check bool) "probes counted" true (outcome.Query.probes > 0);
   Alcotest.(check int) "no restarts without fallback" 0 outcome.Query.restarts;
   (match outcome.Query.path with
@@ -269,7 +277,10 @@ let test_query_fallback_invoked () =
        member exists. *)
     Overlay.all_members overlay current
   in
-  let outcome = Query.closest ~fallback overlay m ~start:nodes.(0) ~target in
+  let outcome =
+    Query.closest_engine ~fallback overlay (Engine.of_matrix m)
+      ~start:nodes.(0) ~target
+  in
   Alcotest.(check bool) "fallback invoked" true (!invoked > 0);
   Alcotest.(check bool) "restarts recorded" true (outcome.Query.restarts > 0)
 
@@ -302,7 +313,7 @@ let prop_query_invariants =
       if Overlay.is_meridian overlay target || not (Matrix.known m start target)
       then true
       else begin
-        let o = Query.closest overlay m ~start ~target in
+        let o = Query.closest_engine overlay (Engine.of_matrix m) ~start ~target in
         o.Query.chosen_delay <= Matrix.get m start target +. 1e-9
         && o.Query.probes >= o.Query.hops + 1
         && List.length o.Query.path = o.Query.hops + 1
@@ -323,7 +334,8 @@ let test_figure12_worked_example () =
   let overlay =
     Overlay.build (Rng.create 12) m cfg ~meridian_nodes:[| a; b; n |]
   in
-  let plain = Query.closest overlay m ~start:a ~target:t in
+  let engine = Engine.of_matrix m in
+  let plain = Query.closest_engine overlay engine ~start:a ~target:t in
   Alcotest.(check int) "plain Meridian returns B" b plain.Query.chosen;
   Alcotest.(check (float 1e-9)) "at 2ms" 2. plain.Query.chosen_delay;
   Alcotest.(check (list int)) "path A -> B" [ a; b ] plain.Query.path;
@@ -338,11 +350,13 @@ let test_figure12_worked_example () =
   in
   let aware_overlay =
     Overlay.build
-      ~placement:(Tiv_aware.placement cfg ~predicted ~measured:m ())
+      ~placement:(Tiv_aware.placement_engine cfg ~predicted ~engine ())
       (Rng.create 12) m cfg ~meridian_nodes:[| a; b; n |]
   in
-  let fallback = Tiv_aware.fallback aware_overlay ~predicted ~measured:m () in
-  let aware = Query.closest ~fallback aware_overlay m ~start:a ~target:t in
+  let fallback = Tiv_aware.fallback_engine aware_overlay ~predicted ~engine () in
+  let aware =
+    Query.closest_engine ~fallback aware_overlay engine ~start:a ~target:t
+  in
   Alcotest.(check int) "TIV-aware finds N" n aware.Query.chosen;
   Alcotest.(check (float 1e-9)) "at 1ms" 1. aware.Query.chosen_delay
 
@@ -400,8 +414,8 @@ let test_gossip_overlay_quality () =
            if Matrix.known m start target then begin
              incr total;
              let outcome =
-               Query.closest ~termination:Query.Any_improvement overlay m ~start
-                 ~target
+               Query.closest_engine ~termination:Query.Any_improvement overlay
+                 (Engine.of_matrix m) ~start ~target
              in
              match Query.optimal overlay m ~target with
              | Some (_, opt) when outcome.Query.chosen_delay > opt *. 1.2 +. 1. ->
@@ -421,7 +435,10 @@ let test_multi_validation () =
   let m = euclidean_matrix 60 30 in
   let overlay, nodes = build_overlay 61 m 15 in
   Alcotest.(check bool) "empty targets rejected" true
-    (match Query.closest_multi overlay m ~start:nodes.(0) ~targets:[] with
+    (match
+       Query.closest_multi_engine overlay (Engine.of_matrix m) ~start:nodes.(0)
+         ~targets:[]
+     with
     | exception Invalid_argument _ -> true
     | _ -> false)
 
@@ -434,8 +451,12 @@ let test_multi_single_target_agrees () =
     Array.to_list (Rng.permutation (Rng.create 64) 60)
     |> List.find (fun i -> not (Overlay.is_meridian overlay i))
   in
-  let single = Query.closest overlay m ~start:nodes.(0) ~target in
-  let multi = Query.closest_multi overlay m ~start:nodes.(0) ~targets:[ target ] in
+  let engine = Engine.of_matrix m in
+  let single = Query.closest_engine overlay engine ~start:nodes.(0) ~target in
+  let multi =
+    Query.closest_multi_engine overlay engine ~start:nodes.(0)
+      ~targets:[ target ]
+  in
   Alcotest.(check int) "same answer" single.Query.chosen multi.Query.chosen;
   Alcotest.(check (float 1e-9)) "same delay" single.Query.chosen_delay
     multi.Query.chosen_delay
@@ -454,8 +475,8 @@ let test_multi_leader_quality () =
   in
   let targets = [ List.nth non_members 0; List.nth non_members 1; List.nth non_members 2 ] in
   let outcome =
-    Query.closest_multi ~termination:Query.Any_improvement overlay m
-      ~start:nodes.(0) ~targets
+    Query.closest_multi_engine ~termination:Query.Any_improvement overlay
+      (Engine.of_matrix m) ~start:nodes.(0) ~targets
   in
   match Query.optimal_multi overlay m ~targets with
   | None -> Alcotest.fail "expected an optimum"
@@ -474,7 +495,10 @@ let test_multi_probe_accounting () =
     |> List.filter (fun i -> not (Overlay.is_meridian overlay i))
   in
   let targets = [ List.nth non_members 0; List.nth non_members 1 ] in
-  let outcome = Query.closest_multi overlay m ~start:nodes.(0) ~targets in
+  let outcome =
+    Query.closest_multi_engine overlay (Engine.of_matrix m) ~start:nodes.(0)
+      ~targets
+  in
   (* Each measured node costs one probe per target. *)
   Alcotest.(check bool) "probes are a multiple of target count" true
     (outcome.Query.probes mod 2 = 0);
@@ -506,7 +530,9 @@ let test_online_matches_offline () =
     let m, overlay, nodes, client, target = online_setup seed in
     let start = nodes.(0) in
     if Matrix.known m client start && Matrix.known m start target then begin
-      let offline = Query.closest overlay m ~start ~target in
+      let offline =
+        Query.closest_engine overlay (Engine.of_matrix m) ~start ~target
+      in
       let sim = Sim.create () in
       let online = Online.closest sim overlay m ~client ~start ~target in
       Alcotest.(check int) "same chosen node" offline.Query.chosen
@@ -550,6 +576,52 @@ let test_online_validation () =
     (match Online.closest sim overlay m ~client ~start:client ~target with
     | exception Invalid_argument _ -> true
     | _ -> false)
+
+let test_online_missing_pair_divergence () =
+  (* Why [Online.closest] is not [closest_engine] over [Engine.of_matrix]:
+     a member whose delay to the target is unmeasured reports at no
+     cost in the matrix replay, while the engine replay waits out the
+     probe's failure timeout on that hop. *)
+  let client = 0 and start = 1 and member = 2 and target = 3 in
+  let m = Matrix.create 4 in
+  Matrix.set m client start 10.;
+  Matrix.set m client member 30.;
+  Matrix.set m client target 40.;
+  Matrix.set m start target 20.;
+  Matrix.set m start member 20.;
+  (* member -> target left unmeasured *)
+  let overlay =
+    Overlay.build (Rng.create 1) m cfg ~meridian_nodes:[| start; member |]
+  in
+  Alcotest.(check (list int)) "member is in the start's query window"
+    [ member ]
+    (List.map
+       (fun mem -> mem.Overlay.id)
+       (Query.eligible_members overlay start 20.));
+  let matrix_replay =
+    Online.closest (Sim.create ()) overlay m ~client ~start ~target
+  in
+  let engine = Engine.of_matrix m in
+  let sim = Sim.create () in
+  Online.attach sim engine;
+  let engine_replay =
+    Online.closest_engine sim overlay engine ~client ~start ~target
+  in
+  List.iter
+    (fun o ->
+      Alcotest.(check int) "start answers" start o.Online.query.Query.chosen;
+      checkf "at its own delay" 20. o.Online.query.Query.chosen_delay)
+    [ matrix_replay; engine_replay ];
+  let stats = Engine.stats engine in
+  Alcotest.(check int) "one unmeasurable probe" 1
+    stats.Tivaware_measure.Probe_stats.unmeasured;
+  let timeout =
+    (Engine.config engine).Engine.fault.Tivaware_measure.Fault.timeout
+  in
+  Alcotest.(check bool) "the engine charges a timeout" true (timeout > 0.);
+  checkf "engine latency = matrix latency + the charged timeout"
+    (matrix_replay.Online.latency +. timeout)
+    engine_replay.Online.latency
 
 (* ------------------------------------------------------------------ *)
 (* Misplacement                                                        *)
@@ -605,7 +677,9 @@ let test_tiv_aware_placement_dual () =
   Matrix.set m 0 1 100.;
   (* Prediction says this edge is really 10ms: ratio 0.1 < ts. *)
   let predicted _ _ = 10. in
-  let place = Tiv_aware.placement cfg ~predicted ~measured:m () in
+  let place =
+    Tiv_aware.placement_engine cfg ~predicted ~engine:(Engine.of_matrix m) ()
+  in
   let rings = place 0 1 100. in
   Alcotest.check entry_list "dual placement"
     [ (Ring.ring_of cfg 100., 100.); (Ring.ring_of cfg 10., 10.) ]
@@ -615,7 +689,9 @@ let test_tiv_aware_placement_safe_band () =
   let m = Matrix.create 4 in
   Matrix.set m 0 1 100.;
   let predicted _ _ = 100. in
-  let place = Tiv_aware.placement cfg ~predicted ~measured:m () in
+  let place =
+    Tiv_aware.placement_engine cfg ~predicted ~engine:(Engine.of_matrix m) ()
+  in
   Alcotest.check entry_list "single placement in safe band"
     [ (Ring.ring_of cfg 100., 100.) ]
     (place 0 1 100.)
@@ -625,7 +701,10 @@ let test_tiv_aware_placement_same_ring_collapses () =
   Matrix.set m 0 1 100.;
   (* Shrunk, but prediction lands in the same ring -> one entry. *)
   let predicted _ _ = 70. in
-  let place = Tiv_aware.placement cfg ~predicted ~measured:m ~ts:0.8 () in
+  let place =
+    Tiv_aware.placement_engine cfg ~predicted ~engine:(Engine.of_matrix m)
+      ~ts:0.8 ()
+  in
   Alcotest.check entry_list "same ring collapses"
     [ (Ring.ring_of cfg 100., 100.) ]
     (place 0 1 100.)
@@ -641,17 +720,18 @@ let test_dual_placement_reaches_queries () =
   Matrix.set m 0 1 400.;
   Matrix.set m 1 2 5.;
   let nodes = [| 0; 1 |] in
+  let engine = Engine.of_matrix m in
   let run placement =
     let overlay =
       Overlay.build ?placement (Rng.create 1) m cfg ~meridian_nodes:nodes
     in
-    Query.closest overlay m ~start:0 ~target:2
+    Query.closest_engine overlay engine ~start:0 ~target:2
   in
   let plain = run None in
   Alcotest.(check int) "plain Meridian misses the member" 0 plain.Query.chosen;
   let predicted a b = if (min a b, max a b) = (0, 1) then 30. else Matrix.get m a b in
   let aware =
-    run (Some (Tivaware_meridian.Tiv_aware.placement cfg ~predicted ~measured:m ()))
+    run (Some (Tiv_aware.placement_engine cfg ~predicted ~engine ()))
   in
   Alcotest.(check int) "dual placement exposes the member" 1 aware.Query.chosen
 
@@ -664,13 +744,18 @@ let test_tiv_aware_fallback_behaviour () =
   in
   let node = nodes.(0) in
   let measured = Matrix.get m node target in
+  let engine = Engine.of_matrix m in
   (* Ratio fine -> no extra members. *)
-  let fb_ok = Tiv_aware.fallback overlay ~predicted:(fun _ _ -> measured) ~measured:m () in
+  let fb_ok =
+    Tiv_aware.fallback_engine overlay ~predicted:(fun _ _ -> measured) ~engine ()
+  in
   Alcotest.(check int) "no restart when ratio healthy" 0
     (List.length (fb_ok ~current:node ~target ~measured));
   (* Shrunk prediction -> members around the predicted delay. *)
   let fb_shrunk =
-    Tiv_aware.fallback overlay ~predicted:(fun _ _ -> measured /. 10.) ~measured:m ()
+    Tiv_aware.fallback_engine overlay
+      ~predicted:(fun _ _ -> measured /. 10.)
+      ~engine ()
   in
   let extra = fb_shrunk ~current:node ~target ~measured in
   let beta = cfg.Ring.beta in
@@ -731,6 +816,8 @@ let () =
           Alcotest.test_case "latency positive" `Quick test_online_latency_positive;
           Alcotest.test_case "clock accumulates" `Quick test_online_clock_accumulates;
           Alcotest.test_case "validation" `Quick test_online_validation;
+          Alcotest.test_case "missing pair: matrix vs engine timing" `Quick
+            test_online_missing_pair_divergence;
         ] );
       ( "misplacement",
         [

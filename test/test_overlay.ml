@@ -6,6 +6,7 @@ module Euclidean = Tivaware_topology.Euclidean
 module Datasets = Tivaware_topology.Datasets
 module Generator = Tivaware_topology.Generator
 module Multicast = Tivaware_overlay.Multicast
+module Delay_backend = Tivaware_backend.Delay_backend
 
 let qcheck ?(count = 30) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
@@ -13,12 +14,10 @@ let qcheck ?(count = 30) name gen prop =
 let euclidean_matrix seed n =
   Euclidean.uniform_box (Rng.create seed) ~n ~dim:3 ~side_ms:200.
 
-let oracle m a b = Matrix.get m a b
-
 let build_oracle ?config seed n =
   let m = euclidean_matrix seed n in
   let order = Rng.permutation (Rng.create (seed + 1)) n in
-  (m, Multicast.build ?config m ~join_order:order ~predict:(oracle m))
+  (m, Multicast.build_backend ?config (Delay_backend.dense m) ~join_order:order)
 
 (* Walk to the root; returns depth or None on a cycle/corruption. *)
 let depth_of t node =
@@ -70,7 +69,9 @@ let test_degree_cap_respected () =
   let config = { Multicast.default_config with Multicast.max_degree = 2 } in
   let m = euclidean_matrix 3 50 in
   let order = Rng.permutation (Rng.create 4) 50 in
-  let t = Multicast.build ~config m ~join_order:order ~predict:(oracle m) in
+  let t =
+    Multicast.build_backend ~config (Delay_backend.dense m) ~join_order:order
+  in
   List.iter
     (fun node ->
       Alcotest.(check bool) "degree cap" true (Multicast.children_count t node <= 2))
@@ -80,7 +81,7 @@ let test_degree_cap_respected () =
 let test_root_properties () =
   let m = euclidean_matrix 5 20 in
   let order = Rng.permutation (Rng.create 6) 20 in
-  let t = Multicast.build m ~join_order:order ~predict:(oracle m) in
+  let t = Multicast.build_backend (Delay_backend.dense m) ~join_order:order in
   Alcotest.(check int) "root is first joiner" order.(0) (Multicast.root t);
   Alcotest.(check bool) "root has no parent" true
     (Multicast.parent t (Multicast.root t) = None)
@@ -92,7 +93,9 @@ let test_unjoinable_nodes_left_out () =
   Matrix.set m 0 2 10.;
   Matrix.set m 1 2 10.;
   (* node 3 fully unmeasured *)
-  let t = Multicast.build m ~join_order:[| 0; 1; 2; 3 |] ~predict:(oracle m) in
+  let t =
+    Multicast.build_backend (Delay_backend.dense m) ~join_order:[| 0; 1; 2; 3 |]
+  in
   Alcotest.(check int) "three members" 3 (List.length (Multicast.members t));
   Alcotest.(check bool) "node 3 out" true (Multicast.parent t 3 = None)
 
@@ -102,7 +105,9 @@ let test_oracle_attaches_nearest () =
   let config = { Multicast.default_config with Multicast.max_degree = 1000 } in
   let m = euclidean_matrix 7 30 in
   let order = Rng.permutation (Rng.create 8) 30 in
-  let t = Multicast.build ~config m ~join_order:order ~predict:(oracle m) in
+  let t =
+    Multicast.build_backend ~config (Delay_backend.dense m) ~join_order:order
+  in
   Array.iteri
     (fun idx node ->
       if idx > 0 then begin
@@ -119,7 +124,7 @@ let test_oracle_attaches_nearest () =
 
 let test_evaluate_fields () =
   let m, t = build_oracle 9 40 in
-  let metrics = Multicast.evaluate t m in
+  let metrics = Multicast.evaluate_backend t (Delay_backend.dense m) in
   Alcotest.(check int) "members" 40 metrics.Multicast.members;
   Alcotest.(check bool) "stretch >= 1" true (metrics.Multicast.median_stretch >= 1. -. 1e-9);
   Alcotest.(check bool) "p90 >= median" true
@@ -130,11 +135,12 @@ let test_evaluate_fields () =
 let test_refresh_keeps_invariants () =
   let data = Datasets.generate ~size:100 ~seed:10 Datasets.Ds2 in
   let m = data.Generator.matrix in
+  let truth = Delay_backend.dense m in
   let order = Rng.permutation (Rng.create 11) 100 in
-  let t = Multicast.build m ~join_order:order ~predict:(oracle m) in
+  let t = Multicast.build_backend truth ~join_order:order in
   let rng = Rng.create 12 in
   for _ = 1 to 5 do
-    ignore (Multicast.refresh t rng m ~predict:(oracle m))
+    ignore (Multicast.refresh_backend t rng truth)
   done;
   check_tree_invariants t 100
 
@@ -143,18 +149,19 @@ let test_refresh_improves_bad_tree () =
      then refresh with the oracle: stretch must improve. *)
   let data = Datasets.generate ~size:120 ~seed:13 Datasets.Ds2 in
   let m = data.Generator.matrix in
+  let truth = Delay_backend.dense m in
   let order = Rng.permutation (Rng.create 14) 120 in
   let anti a b =
     let d = Matrix.get m a b in
     if Float.is_nan d then nan else -.d
   in
-  let t = Multicast.build m ~join_order:order ~predict:anti in
-  let before = (Multicast.evaluate t m).Multicast.median_stretch in
+  let t = Multicast.build_backend ~predict:anti truth ~join_order:order in
+  let before = (Multicast.evaluate_backend t truth).Multicast.median_stretch in
   let rng = Rng.create 15 in
   for _ = 1 to 5 do
-    ignore (Multicast.refresh t rng m ~predict:(oracle m))
+    ignore (Multicast.refresh_backend t rng truth)
   done;
-  let after = (Multicast.evaluate t m).Multicast.median_stretch in
+  let after = (Multicast.evaluate_backend t truth).Multicast.median_stretch in
   Alcotest.(check bool)
     (Printf.sprintf "stretch improved (%.2f -> %.2f)" before after)
     true (after < before);
@@ -167,8 +174,10 @@ let test_engine_build_refresh_equivalence () =
   let module Engine = Tivaware_measure.Engine in
   let data = Datasets.generate ~size:100 ~seed:16 Datasets.Ds2 in
   let m = data.Generator.matrix in
+  (* Reference: joins and refreshes over plain [Matrix.get]. *)
+  let truth = Delay_backend.of_fn ~size:100 (Matrix.get m) in
   let order = Rng.permutation (Rng.create 17) 100 in
-  let a = Multicast.build m ~join_order:order ~predict:(oracle m) in
+  let a = Multicast.build_backend truth ~join_order:order in
   let engine = Engine.of_matrix m in
   let b = Multicast.build_engine engine ~join_order:order in
   let same_trees x y =
@@ -180,7 +189,8 @@ let test_engine_build_refresh_equivalence () =
           (Printf.sprintf "same parent of %d" node)
           (Multicast.parent x node) (Multicast.parent y node))
       (Multicast.members x);
-    let mx = Multicast.evaluate x m and my = Multicast.evaluate y m in
+    let mx = Multicast.evaluate_backend x truth
+    and my = Multicast.evaluate_backend y truth in
     Alcotest.(check (float 0.)) "same median stretch"
       mx.Multicast.median_stretch my.Multicast.median_stretch;
     Alcotest.(check (float 0.)) "same p90 stretch" mx.Multicast.p90_stretch
@@ -190,7 +200,7 @@ let test_engine_build_refresh_equivalence () =
   (* Identical rng seeds drive identical refresh decisions. *)
   let ra = Rng.create 18 and rb = Rng.create 18 in
   for _ = 1 to 5 do
-    ignore (Multicast.refresh a ra m ~predict:(oracle m));
+    ignore (Multicast.refresh_backend a ra truth);
     ignore (Multicast.refresh_engine b rb engine)
   done;
   same_trees a b;
@@ -206,7 +216,7 @@ let prop_build_invariants_random =
       let n = 30 + (seed mod 20) in
       let m = euclidean_matrix seed n in
       let order = Rng.permutation (Rng.create (seed + 1)) n in
-      let t = Multicast.build m ~join_order:order ~predict:(oracle m) in
+      let t = Multicast.build_backend (Delay_backend.dense m) ~join_order:order in
       let ok = ref true in
       List.iter
         (fun node -> if depth_of t node = None then ok := false)

@@ -42,6 +42,7 @@ module Protocol = Tivaware_vivaldi.Protocol
 module Chord = Tivaware_dht.Chord
 module Id_space = Tivaware_dht.Id_space
 module Multicast = Tivaware_overlay.Multicast
+module Delay_backend = Tivaware_backend.Delay_backend
 
 let prop_seed =
   match Sys.getenv_opt "TIVAWARE_PROP_SEED" with
@@ -139,7 +140,7 @@ let test_chord_lookup_liveness () =
         (Churn.is_up churn i)
   done;
   (* Lookups from live sources terminate at live owners. *)
-  let m = Lazy.force matrix in
+  let truth = Delay_backend.dense (Lazy.force matrix) in
   let g = rng 2 in
   let lookups = ref 0 in
   while !lookups < 200 do
@@ -149,7 +150,7 @@ let test_chord_lookup_liveness () =
       let key =
         Id_space.add (Id_space.of_node (Rng.int g n)) (Rng.int g 1_000_000)
       in
-      let o = Chord.lookup t m ~source ~key in
+      let o = Chord.lookup_backend t truth ~source ~key in
       checkb
         (Printf.sprintf "owner %d of key %d is alive" o.Chord.owner key)
         true
@@ -324,10 +325,12 @@ let test_multicast_tree_connected () =
    pass, orphaning all of the root's subtrees at once.  The repair
    contract says the root is always an attachment candidate, so no
    orphaned grandchild may fragment away — the tree re-hangs every
-   surviving member in a single pass.  Uses the oracle-mode repair so
-   the down set can be forced to exactly the root's children. *)
+   surviving member in a single pass.  Uses the backend repair with an
+   explicit liveness oracle so the down set can be forced to exactly
+   the root's children. *)
 let test_multicast_root_children_burst () =
   let m = Lazy.force matrix in
+  let truth = Delay_backend.dense m in
   let join_order =
     let rest = Array.of_list (List.init (n - 1) (fun i -> i + 1)) in
     Rng.shuffle (rng 10) rest;
@@ -337,9 +340,9 @@ let test_multicast_root_children_burst () =
   (* A small degree cap forces real depth: the root's children own
      subtrees, not leaves, so the burst actually orphans someone. *)
   let t =
-    Multicast.build
+    Multicast.build_backend
       ~config:{ Multicast.default_config with Multicast.max_degree = 3 }
-      m ~join_order ~predict
+      ~predict truth ~join_order
   in
   let before = List.length (Multicast.members t) in
   checki "everyone joined a complete matrix" n before;
@@ -350,7 +353,7 @@ let test_multicast_root_children_burst () =
   in
   checkb "the burst orphans at least one grandchild" true (orphaned <> []);
   let up i = not (List.mem i victims) in
-  let r = Multicast.repair t (rng 11) m ~predict ~up in
+  let r = Multicast.repair t (rng 11) truth ~predict ~up in
   checki "exactly the root's children detached" (List.length victims)
     r.Multicast.detached;
   checkb "orphaned subtrees re-grafted" true
@@ -374,7 +377,7 @@ let test_multicast_root_children_burst () =
       ascend node 0)
     members;
   (* Revival: with everyone back up, one pass re-admits all victims. *)
-  let r' = Multicast.repair t (rng 12) m ~predict ~up:(fun _ -> true) in
+  let r' = Multicast.repair t (rng 12) truth ~predict ~up:(fun _ -> true) in
   checki "all victims rejoined" (List.length victims) r'.Multicast.rejoined;
   checki "full membership restored" before
     (List.length (Multicast.members t))

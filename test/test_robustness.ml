@@ -17,6 +17,7 @@ module System = Tivaware_vivaldi.System
 module Ring = Tivaware_meridian.Ring
 module Overlay = Tivaware_meridian.Overlay
 module Query = Tivaware_meridian.Query
+module Engine = Tivaware_measure.Engine
 module Experiment = Tivaware_core.Experiment
 module Selectors = Tivaware_core.Selectors
 
@@ -168,7 +169,7 @@ let test_alert_zero_delay_edges () =
 
 let test_overlay_on_disconnected () =
   (* Meridian nodes that cannot measure the target: queries must fail
-     gracefully via Invalid_argument, not loop. *)
+     gracefully — a nan answer, counted as a query failure — not loop. *)
   let m = Matrix.create 6 in
   for i = 0 to 3 do
     for j = i + 1 to 3 do
@@ -179,10 +180,15 @@ let test_overlay_on_disconnected () =
   let overlay =
     Overlay.build (Rng.create 10) m Ring.default_config ~meridian_nodes:[| 0; 1; 2 |]
   in
-  Alcotest.(check bool) "unmeasurable target rejected" true
-    (match Query.closest overlay m ~start:0 ~target:4 with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
+  let engine = Engine.of_matrix m in
+  let o = Query.closest_engine overlay engine ~start:0 ~target:4 in
+  Alcotest.(check bool) "unmeasurable target answers nan" true
+    (Float.is_nan o.Query.chosen_delay);
+  Alcotest.(check (list int)) "query dies at the start" [ 0 ] o.Query.path;
+  Alcotest.(check (float 0.)) "counted as a query failure" 1.
+    (Tivaware_obs.Counter.value
+       (Tivaware_obs.Registry.counter (Engine.obs engine)
+          "meridian.query_failures"))
 
 (* ------------------------------------------------------------------ *)
 (* Determinism under identical seeds, variation under different ones   *)
