@@ -563,21 +563,20 @@ let meridian_cmd =
       if no_termination then Some Tivaware_meridian.Query.Any_improvement else None
     in
     let result =
-      or_exit (fun () ->
-          if tiv_aware then begin
-            let vivaldi = Selectors.embed_vivaldi (Rng.create (seed + 1)) m in
-            let predicted i j = System.predicted vivaldi i j in
-            Experiment.run_meridian rng m ~runs:5 ?termination ~engine
-              ~meridian_count:count
-              ~build:
-                (Selectors.meridian_build_tiv_aware_engine engine cfg ~predicted)
-              ~fallback:
-                (Selectors.meridian_fallback_tiv_aware_engine engine ~predicted ())
-              ()
-          end
-          else
-            Experiment.run_meridian rng m ~runs:5 ?termination ~engine
-              ~meridian_count:count ~build:(Selectors.meridian_build m cfg) ())
+      or_exit @@ fun () ->
+      if tiv_aware then begin
+        let vivaldi = Selectors.embed_vivaldi (Rng.create (seed + 1)) m in
+        let predicted i j = System.predicted vivaldi i j in
+        Experiment.run_meridian rng m ~runs:5 ?termination ~engine
+          ~meridian_count:count
+          ~build:(Selectors.meridian_build_tiv_aware_engine engine cfg ~predicted)
+          ~fallback:
+            (Selectors.meridian_fallback_tiv_aware_engine engine ~predicted ())
+          ()
+      end
+      else
+        Experiment.run_meridian rng m ~runs:5 ?termination ~engine
+          ~meridian_count:count ~build:(Selectors.meridian_build m cfg) ()
     in
     Printf.printf "neighbor selection: %s\n"
       (Penalty.summarize result.Experiment.base.Experiment.penalties);
