@@ -16,6 +16,8 @@ module Datasets = Tivaware_topology.Datasets
 module Engine = Tivaware_measure.Engine
 module Fault = Tivaware_measure.Fault
 module Budget = Tivaware_measure.Budget
+module Churn = Tivaware_measure.Churn
+module Oracle = Tivaware_measure.Oracle
 
 (* Probe-engine kernels: the per-lookup cost the measurement plane adds
    over a raw Matrix.get.  Collected separately into BENCH_measure.json. *)
@@ -76,6 +78,17 @@ let measure_tests m =
       m
   in
   let budget = Budget.create (Budget.per_node ~capacity:1e12 ~rate:1.) ~n:200 in
+  (* One clock tick of a 100k-node engine with 20% of nodes churning:
+     what every probe-driven clock movement pays for membership. *)
+  let churn_engine =
+    Engine.create
+      ~config:
+        {
+          Engine.default_config with
+          Engine.churn = Some { Churn.default with Churn.fraction = 0.2 };
+        }
+      (Oracle.of_fn ~size:100_000 (fun _ _ -> 1.))
+  in
   let rng = Rng.create 7 in
   [
     Test.make ~name:"measure/probe-oracle"
@@ -97,6 +110,8 @@ let measure_tests m =
     Test.make ~name:"measure/budget-check"
       (Staged.stage (fun () ->
            ignore (Budget.try_take budget ~now:0. (Rng.int rng 200))));
+    Test.make ~name:"measure/churn-advance"
+      (Staged.stage (fun () -> Engine.advance churn_engine 0.05));
     Test.make ~name:"measure/matrix-get-baseline"
       (Staged.stage (fun () ->
            ignore (Matrix.get m (Rng.int rng 200) (Rng.int rng 200))));

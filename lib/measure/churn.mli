@@ -12,7 +12,17 @@
     schedule into a {!Fault} injector's node-outage set
     ({!Fault.set_down}), which the {!Engine} consults on every request —
     so a node in its down window never answers probes, and rejoins
-    exactly when its down lifetime expires. *)
+    exactly when its down lifetime expires.
+
+    {2 Cost}
+
+    Churning nodes wait in a min-heap keyed by their next toggle time,
+    so an advance costs O(k log c) for k toggles among c churning
+    nodes — O(1) when nothing toggles — independent of n.  {!drive}
+    rewrites the outage state of the nodes it toggles and no others:
+    churn is the only writer of its nodes' outage state, and a
+    {!Fault.set_down} on a churning node from elsewhere persists until
+    that node's next toggle. *)
 
 type config = {
   fraction : float;  (** share of nodes subject to churn, in [0, 1] *)
@@ -42,7 +52,7 @@ val churning : t -> int -> bool
 
 val advance_to : t -> float -> unit
 (** Advance the schedule clock (monotonic; earlier times are
-    ignored). *)
+    ignored).  O(k log c) for k toggles among c churning nodes. *)
 
 val now : t -> float
 
@@ -55,8 +65,13 @@ val transitions : t -> int
 
 val sync : t -> Fault.t -> unit
 (** Mirror the current up/down state of every churning node into the
-    injector's outage set. *)
+    injector's outage set: O(n), done once when the {!Engine} is
+    created. *)
 
 val drive : t -> Fault.t -> time:float -> unit
-(** [advance_to] followed by {!sync} — the hook the {!Engine} calls on
-    every clock movement. *)
+(** [advance_to], mirroring each toggled node into the injector's
+    outage set as it toggles — the hook the {!Engine} calls on every
+    clock movement.  Leaves the injector agreeing with {!sync}, at
+    O(k log c) instead of O(n); allocates nothing when no node
+    toggles.  When the schedule was moved by a bare {!advance_to}
+    since the last mirror, it falls back to a full {!sync}. *)

@@ -226,7 +226,9 @@ let now t = t.clock
 (* Every clock movement drives both time-dependent planes: network
    conditions (dynamics) and membership (churn). *)
 let sync_churn t =
-  Option.iter (fun d -> Dynamics.advance_to d t.clock) t.dynamics;
+  (match t.dynamics with
+  | None -> ()
+  | Some d -> Dynamics.advance_to d t.clock);
   match t.churn with
   | None -> ()
   | Some c -> Churn.drive c t.fault ~time:t.clock

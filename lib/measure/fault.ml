@@ -51,7 +51,8 @@ type t = {
   profile : Profile.t;
   n : int;
   rng : Rng.t;
-  down : (int, unit) Hashtbl.t;
+  (* Node outage set: byte [i] is ['\001'] while node [i] is down. *)
+  down : Bytes.t;
   (* Per-link loss estimates, keyed by [i * n + j]: an open-addressing
      table over flat arrays, so only probed links materialize (an n^2
      array at n = 100 000 would be 80 GB) and no link costs a heap
@@ -128,12 +129,10 @@ let create ?(config = default) ?profile rng ~n =
      without link outages stays probe-for-probe identical to the global
      model). *)
   let link_salt = Int64.to_int (Rng.int64 (Rng.copy rng)) land 0x3FFFFFFF in
-  let down = Hashtbl.create 16 in
+  let down = Bytes.make n '\000' in
   let k = int_of_float (config.outage *. float_of_int n) in
   if k > 0 then
-    Array.iter
-      (fun i -> Hashtbl.replace down i ())
-      (Rng.sample_indices rng ~n ~k);
+    Array.iter (fun i -> Bytes.set down i '\001') (Rng.sample_indices rng ~n ~k);
   {
     config;
     profile;
@@ -150,10 +149,13 @@ let create ?(config = default) ?profile rng ~n =
 
 let config t = t.config
 let profile t = t.profile
-let node_down t i = Hashtbl.mem t.down i
+let node_down t i = i >= 0 && i < t.n && Bytes.unsafe_get t.down i <> '\000'
 
 let set_down t i down =
-  if down then Hashtbl.replace t.down i () else Hashtbl.remove t.down i
+  if i < 0 || i >= t.n then
+    invalid_arg
+      (Printf.sprintf "Fault.set_down: node %d out of range (n = %d)" i t.n);
+  Bytes.unsafe_set t.down i (if down then '\001' else '\000')
 
 let link t i j = Profile.link t.profile i j
 

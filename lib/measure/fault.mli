@@ -82,10 +82,14 @@ val link : t -> int -> int -> Profile.link
 (** The profile parameters of the directed link [i -> j]. *)
 
 val node_down : t -> int -> bool
+(** Whether the node is in outage: one byte read, O(1).  [false] for an
+    id outside [0, n). *)
 
 val set_down : t -> int -> bool -> unit
 (** Scenario hook: force a node in or out of outage ({!Churn} drives
-    this from its schedule). *)
+    this from its schedule, and is then the only writer for its
+    churning nodes).  Raises [Invalid_argument], naming the id and [n],
+    for an id outside [0, n). *)
 
 val link_down : t -> int -> int -> bool
 (** Whether the directed link is in outage for the injector's

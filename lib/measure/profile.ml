@@ -87,26 +87,32 @@ let random ?(name = "random") ?(outage = 0.) ~loss ~jitter ~seed () =
 (* ------------------------------------------------------------------ *)
 (* Validation                                                          *)
 
+let bad_loss l = Float.is_nan l.loss || l.loss < 0. || l.loss > 1.
+let bad_jitter l = Float.is_nan l.jitter || l.jitter < 0. || l.jitter >= 1.
+let bad_outage l = Float.is_nan l.outage || l.outage < 0. || l.outage > 1.
+let bad_extra_delay l = Float.is_nan l.extra_delay || l.extra_delay < 0.
+
 let validate_link ctx ~id l =
   let bad field what v =
     invalid_arg (Printf.sprintf "%s: link %s: %s %s (got %g)" ctx id field what v)
   in
-  if Float.is_nan l.loss || l.loss < 0. || l.loss > 1. then
-    bad "loss" "must be in [0, 1]" l.loss;
-  if Float.is_nan l.jitter || l.jitter < 0. || l.jitter >= 1. then
-    bad "jitter" "must be in [0, 1)" l.jitter;
-  if Float.is_nan l.outage || l.outage < 0. || l.outage > 1. then
-    bad "outage" "must be in [0, 1]" l.outage;
-  if Float.is_nan l.extra_delay || l.extra_delay < 0. then
-    bad "extra_delay" "must be >= 0 ms" l.extra_delay
+  if bad_loss l then bad "loss" "must be in [0, 1]" l.loss;
+  if bad_jitter l then bad "jitter" "must be in [0, 1)" l.jitter;
+  if bad_outage l then bad "outage" "must be in [0, 1]" l.outage;
+  if bad_extra_delay l then bad "extra_delay" "must be >= 0 ms" l.extra_delay
 
+(* A function profile is checked over all n(n-1) links, so the link id
+   is formatted only for a link that fails. *)
 let validate ctx ~n t =
   match t.kind with
   | Uniform l -> validate_link ctx ~id:(t.name ^ " (all links)") l
   | Fn f ->
     for i = 0 to n - 1 do
       for j = 0 to n - 1 do
-        if i <> j then
-          validate_link ctx ~id:(Printf.sprintf "%d->%d" i j) (f i j)
+        if i <> j then begin
+          let l = f i j in
+          if bad_loss l || bad_jitter l || bad_outage l || bad_extra_delay l then
+            validate_link ctx ~id:(Printf.sprintf "%d->%d" i j) l
+        end
       done
     done

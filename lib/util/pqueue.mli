@@ -19,4 +19,9 @@ val pop : 'a t -> (float * 'a) option
 
 val peek : 'a t -> (float * 'a) option
 
+val min_prio : 'a t -> float
+(** The minimum priority, [infinity] when the queue is empty.  Unlike
+    {!peek} it allocates nothing, so a caller can poll the head on
+    every clock tick for free. *)
+
 val clear : 'a t -> unit

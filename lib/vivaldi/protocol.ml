@@ -80,6 +80,12 @@ let run_with_churn ?(config = default_config) ?(churn = default_churn) sim
   assert (churn.mean_uptime > 0. && churn.mean_downtime > 0.);
   let n = System.size system in
   let engine = System.engine system in
+  (* The engine's churn plane rewrites only the nodes it toggles, so a
+     second writer of the same outage state would silently fight it. *)
+  if Option.is_some (Engine.churn engine) then
+    invalid_arg
+      "Protocol.run_with_churn: the system's engine already has a churn \
+       plane; drive churn from one of the two, not both";
   let rng = System.rng system in
   let deadline = Sim.now sim +. duration in
   let alive = Array.make n true in

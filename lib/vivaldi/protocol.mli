@@ -76,7 +76,9 @@ val run_with_churn :
     nodes start up.  Each transition is mirrored into the engine's
     fault injector ({!Tivaware_measure.Fault.set_down}): probes to a
     down peer come back [Down], and a revived node answers probes again
-    the instant it rejoins. *)
+    the instant it rejoins.  Raises [Invalid_argument] when the
+    system's engine has a churn plane of its own ({!Tivaware_measure.Engine.churn}):
+    the two would both write the same outage state. *)
 
 val alive_fraction_hint : churn -> float
 (** Steady-state expected fraction of nodes up:

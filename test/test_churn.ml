@@ -150,6 +150,25 @@ let test_down_node_never_answers () =
   | Engine.Rtt _ | Engine.Unmeasured -> ()
   | _ -> Alcotest.fail "recovered node must answer again"
 
+(* A bare Churn.advance_to on an engine's churn model toggles nodes
+   without mirroring them; the engine's next clock movement must
+   resynchronize every churning node, not only the ones it toggles. *)
+let test_bare_advance_resynced () =
+  let e =
+    engine ~churn:{ Churn.default with Churn.fraction = 0.5; seed = 21 } ~seed:4 ()
+  in
+  let churn = Option.get (Engine.churn e) in
+  Churn.advance_to churn 500.;
+  Alcotest.(check bool) "schedule moved" true (Churn.transitions churn > 0);
+  Engine.advance_to e 1.;
+  for i = 0 to n - 1 do
+    if Churn.churning churn i then
+      Alcotest.(check bool)
+        (Printf.sprintf "node %d mirrored" i)
+        (not (Churn.is_up churn i))
+        (Fault.node_down (Engine.fault e) i)
+  done
+
 let test_monotone_clock_under_churn () =
   let e =
     engine
@@ -228,6 +247,8 @@ let () =
             test_down_node_never_answers;
           Alcotest.test_case "monotone clock" `Quick
             test_monotone_clock_under_churn;
+          Alcotest.test_case "bare advance resynced" `Quick
+            test_bare_advance_resynced;
           Alcotest.test_case "meridian completes" `Quick
             test_meridian_completes_under_churn;
         ] );

@@ -454,6 +454,24 @@ let test_outage () =
   Alcotest.(check bool) "back up" true (not (Float.is_nan (Engine.rtt e 1 4)));
   checki "down requests counted" 2 (Engine.stats e).Probe_stats.down
 
+(* The outage set is a flat per-node array: an id outside [0, n) is a
+   caller bug on write and simply "not down" on read. *)
+let test_outage_id_range () =
+  let f = Fault.create (Rng.create 3) ~n:5 in
+  Alcotest.check_raises "set_down past n"
+    (Invalid_argument "Fault.set_down: node 5 out of range (n = 5)") (fun () ->
+      Fault.set_down f 5 true);
+  Alcotest.check_raises "set_down negative"
+    (Invalid_argument "Fault.set_down: node -1 out of range (n = 5)") (fun () ->
+      Fault.set_down f (-1) false);
+  List.iter
+    (fun i ->
+      Alcotest.(check bool) (Printf.sprintf "node_down %d" i) false (Fault.node_down f i))
+    [ -1; 5; 6; max_int; min_int ];
+  Fault.set_down f 4 true;
+  Alcotest.(check bool) "last id settable" true (Fault.node_down f 4);
+  Alcotest.(check bool) "neighbour untouched" false (Fault.node_down f 3)
+
 (* ------------------------------------------------------------------ *)
 (* Per-label accounting                                                *)
 
@@ -721,6 +739,7 @@ let () =
             test_loss_retry_accounting;
           Alcotest.test_case "retries recover" `Quick test_retry_recovers;
           Alcotest.test_case "outages" `Quick test_outage;
+          Alcotest.test_case "outage id range" `Quick test_outage_id_range;
           Alcotest.test_case "attempt_into = attempt draw for draw" `Quick
             test_fault_attempt_into_equivalence;
           Alcotest.test_case "attempt_into out-param reuse" `Quick

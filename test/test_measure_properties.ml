@@ -15,6 +15,7 @@ module Profile = Tivaware_measure.Profile
 module Churn = Tivaware_measure.Churn
 module Dynamics = Tivaware_measure.Dynamics
 module Engine = Tivaware_measure.Engine
+module Oracle = Tivaware_measure.Oracle
 module Probe_stats = Tivaware_measure.Probe_stats
 module Sim = Tivaware_eventsim.Sim
 module Ring = Tivaware_meridian.Ring
@@ -975,6 +976,24 @@ let test_profile_validation_names_link () =
     (fun () ->
       Profile.validate_link "ctx" ~id:"2->3"
         { Profile.clean with Profile.loss = 1.5 });
+  (* A function profile formats the id only for the failing link, and
+     the message is the same bytes [validate_link] writes — for the
+     last link scanned too. *)
+  Alcotest.check_raises "function profile names i->j"
+    (Invalid_argument "ctx: link 5->4: jitter must be in [0, 1) (got 1)")
+    (fun () ->
+      Profile.validate "ctx" ~n:6
+        (Profile.make "bad" (fun i j ->
+             if i = 5 && j = 4 then { Profile.clean with Profile.jitter = 1. }
+             else Profile.clean)));
+  Alcotest.check_raises "first failing field wins"
+    (Invalid_argument "ctx: link 0->1: outage must be in [0, 1] (got 2)")
+    (fun () ->
+      Profile.validate "ctx" ~n:6
+        (Profile.make "bad" (fun i j ->
+             if i = 0 && j = 1 then
+               { Profile.clean with Profile.outage = 2.; extra_delay = -1. }
+             else Profile.clean)));
   (* The stock constructors always validate, whatever the bases. *)
   for _ = 1 to 20 do
     let loss = Rng.uniform g 0. 0.99 and jitter = Rng.uniform g 0. 0.99 in
@@ -1061,6 +1080,194 @@ let test_config_validation () =
       charge_time = true;
       seed = 3;
     }
+
+(* ------------------------------------------------------------------ *)
+(* Churn: event-driven schedule                                         *)
+
+(* The reference the heap-driven schedule replaced: every advance walks
+   all n nodes and steps each churning one past the new time.  Same
+   per-node generators, same draw order. *)
+module Ref_churn = struct
+  type node = { rng : Rng.t; mutable up : bool; mutable next : float }
+
+  type t = {
+    config : Churn.config;
+    nodes : node option array;
+    mutable time : float;
+    mutable transitions : int;
+  }
+
+  let create (config : Churn.config) ~n =
+    let node_of i =
+      let rng = Rng.create ((config.Churn.seed * 2_000_029) + i) in
+      if Rng.float rng 1. < config.Churn.fraction then
+        Some
+          {
+            rng;
+            up = true;
+            next = Rng.exponential rng ~rate:(1. /. config.Churn.mean_up);
+          }
+      else None
+    in
+    { config; nodes = Array.init n node_of; time = 0.; transitions = 0 }
+
+  let advance_to t time =
+    if time > t.time then begin
+      Array.iter
+        (function
+          | None -> ()
+          | Some st ->
+            while st.next <= time do
+              st.up <- not st.up;
+              t.transitions <- t.transitions + 1;
+              let mean =
+                if st.up then t.config.Churn.mean_up else t.config.Churn.mean_down
+              in
+              st.next <- st.next +. Rng.exponential st.rng ~rate:(1. /. mean)
+            done)
+        t.nodes;
+      t.time <- time
+    end
+
+  let churning t i = t.nodes.(i) <> None
+  let is_up t i = match t.nodes.(i) with None -> true | Some st -> st.up
+end
+
+(* Clock steps relative to the previous target: equal (zero),
+   backwards, tiny, ordinary and very large (tens of up/down cycles). *)
+let gen_churn_step cycle =
+  let open QCheck2.Gen in
+  frequency
+    [
+      (2, pure 0.);
+      (2, float_range (-2. *. cycle) (-1e-9));
+      (3, float_range 1e-9 1e-3);
+      (6, float_range 0. (2. *. cycle));
+      (1, float_range (10. *. cycle) (30. *. cycle));
+    ]
+
+let gen_churn_config =
+  let open QCheck2.Gen in
+  let* fraction =
+    frequency [ (1, pure 0.); (1, pure 1.); (6, float_range 0. 1.) ]
+  in
+  let* mean_up = float_range 0.5 120. in
+  let* mean_down = float_range 0.5 60. in
+  let* seed = int_range 0 1_000_000 in
+  pure { Churn.fraction; mean_up; mean_down; seed }
+
+let gen_churn_case =
+  let open QCheck2.Gen in
+  let* n = frequency [ (1, int_range 0 30); (3, int_range 200 2000) ] in
+  let* config = gen_churn_config in
+  let+ steps =
+    list_size (int_range 1 40)
+      (gen_churn_step (config.Churn.mean_up +. config.Churn.mean_down))
+  in
+  (n, config, steps)
+
+let prop_churn_matches_scan =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:40 ~name:"churn schedule = O(n) scan model"
+       gen_churn_case (fun (n, config, steps) ->
+         let fail fmt = QCheck2.Test.fail_reportf fmt in
+         let c = Churn.create ~config ~n () in
+         let model = Ref_churn.create config ~n in
+         let target = ref 0. in
+         List.iteri
+           (fun step dt ->
+             target := !target +. dt;
+             Churn.advance_to c !target;
+             Ref_churn.advance_to model !target;
+             if not (Float.equal (Churn.now c) model.Ref_churn.time) then
+               fail "step %d: now %h, model %h" step (Churn.now c)
+                 model.Ref_churn.time;
+             if Churn.transitions c <> model.Ref_churn.transitions then
+               fail "step %d: transitions %d, model %d" step
+                 (Churn.transitions c) model.Ref_churn.transitions;
+             for i = 0 to n - 1 do
+               if Churn.churning c i <> Ref_churn.churning model i then
+                 fail "step %d: node %d churning disagrees" step i;
+               if Churn.is_up c i <> Ref_churn.is_up model i then
+                 fail "step %d: node %d is_up %b, model %b" step i
+                   (Churn.is_up c i) (Ref_churn.is_up model i)
+             done)
+           steps;
+         true))
+
+type clock_op = Advance_to of float | Advance of float | Probe of int * int
+
+(* Engine level: whatever moves the clock — absolute sets (backwards
+   ones included), relative steps (zero ones included) and charged
+   probes that time out on down nodes — every churning node's outage
+   bit equals [not (is_up)], and every other node keeps the static
+   [outage] draw of a fresh injector with the same seed. *)
+let gen_engine_churn_case =
+  let open QCheck2.Gen in
+  let* n = int_range 2 600 in
+  let* churn = gen_churn_config in
+  let* outage = float_range 0. 0.5 in
+  let* seed = int_range 0 1_000_000 in
+  let cycle = churn.Churn.mean_up +. churn.Churn.mean_down in
+  let op =
+    frequency
+      [
+        (3, map (fun dt -> Advance_to dt) (gen_churn_step cycle));
+        (2, map (fun dt -> Advance (Float.abs dt)) (gen_churn_step cycle));
+        (2, map2 (fun i j -> Probe (i, j)) (int_range 0 (n - 1)) (int_range 0 (n - 1)));
+      ]
+  in
+  let+ ops = list_size (int_range 1 60) op in
+  (n, churn, outage, seed, ops)
+
+let prop_engine_outage_mirrors_churn =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:40 ~name:"engine outage set mirrors churn"
+       gen_engine_churn_case (fun (n, churn, outage, seed, ops) ->
+         let fail fmt = QCheck2.Test.fail_reportf fmt in
+         let fault = { Fault.default with Fault.outage } in
+         let e =
+           Engine.create
+             ~config:
+               {
+                 Engine.default_config with
+                 Engine.fault;
+                 churn = Some churn;
+                 charge_time = true;
+                 seed;
+               }
+             (Oracle.of_fn ~size:n (fun i j -> if i = j then 0. else 20.))
+         in
+         let static = Fault.create ~config:fault (Rng.create seed) ~n in
+         let c = Option.get (Engine.churn e) in
+         let check step =
+           let f = Engine.fault e in
+           if not (Float.equal (Churn.now c) (Engine.now e)) then
+             fail "step %d: churn clock %h, engine %h" step (Churn.now c)
+               (Engine.now e);
+           for i = 0 to n - 1 do
+             let want =
+               if Churn.churning c i then not (Churn.is_up c i)
+               else Fault.node_down static i
+             in
+             if Fault.node_down f i <> want then
+               fail "step %d: node %d down=%b, want %b (churning %b)" step i
+                 (Fault.node_down f i) want (Churn.churning c i)
+           done
+         in
+         check (-1);
+         let target = ref 0. in
+         List.iteri
+           (fun step op ->
+             (match op with
+             | Advance_to dt ->
+               target := !target +. dt;
+               Engine.advance_to e !target
+             | Advance dt -> Engine.advance e dt
+             | Probe (i, j) -> ignore (Engine.probe e i j : Engine.outcome));
+             check step)
+           ops;
+         true))
 
 (* ------------------------------------------------------------------ *)
 (* Dynamics and repair: off means bit-for-bit off                      *)
@@ -1294,6 +1501,7 @@ let () =
         ] );
       ( "validation",
         [ Alcotest.test_case "config validation" `Quick test_config_validation ] );
+      ("churn", [ prop_churn_matches_scan; prop_engine_outage_mirrors_churn ]);
       ( "dynamics",
         [
           Alcotest.test_case "zero dynamics replays static profile" `Quick

@@ -573,6 +573,17 @@ let test_pqueue_clear () =
   Pqueue.clear q;
   Alcotest.(check int) "cleared" 0 (Pqueue.length q)
 
+let test_pqueue_min_prio () =
+  let q = Pqueue.create () in
+  Alcotest.(check (float 0.)) "empty is infinity" infinity (Pqueue.min_prio q);
+  Pqueue.push q 3. "c";
+  Pqueue.push q 1. "a";
+  Alcotest.(check (float 0.)) "head priority" 1. (Pqueue.min_prio q);
+  ignore (Pqueue.pop q);
+  Alcotest.(check (float 0.)) "after pop" 3. (Pqueue.min_prio q);
+  ignore (Pqueue.pop q);
+  Alcotest.(check (float 0.)) "drained is infinity" infinity (Pqueue.min_prio q)
+
 let prop_pqueue_sorted =
   qcheck "pops come out sorted"
     QCheck2.Gen.(list (float_range (-1e3) 1e3))
@@ -910,6 +921,7 @@ let () =
           Alcotest.test_case "ordering" `Quick test_pqueue_order;
           Alcotest.test_case "fifo ties" `Quick test_pqueue_fifo_ties;
           Alcotest.test_case "clear" `Quick test_pqueue_clear;
+          Alcotest.test_case "min_prio" `Quick test_pqueue_min_prio;
           prop_pqueue_sorted;
         ] );
       ( "welford",

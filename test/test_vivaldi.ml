@@ -229,6 +229,8 @@ let test_steady_state_stats () =
 
 module Protocol = Tivaware_vivaldi.Protocol
 module Sim = Tivaware_eventsim.Sim
+module Engine = Tivaware_measure.Engine
+module Churn = Tivaware_measure.Churn
 
 let test_protocol_probe_accounting () =
   let m = euclidean_matrix 50 20 in
@@ -271,6 +273,22 @@ let test_protocol_churn_accounting () =
     <= stats.Protocol.base.Protocol.probes_sent);
   (* Expected alive fraction 20/25 = 0.8. *)
   Alcotest.(check (float 1e-9)) "alive hint" 0.8 (Protocol.alive_fraction_hint churn)
+
+(* The engine's churn plane and run_with_churn would both write the
+   same outage state; the combination is refused up front. *)
+let test_protocol_churn_refuses_engine_churn () =
+  let m = euclidean_matrix 62 12 in
+  let e =
+    Engine.of_matrix
+      ~config:{ Engine.default_config with Engine.churn = Some Churn.default }
+      m
+  in
+  let s = System.create_with_engine (Rng.create 63) e in
+  Alcotest.check_raises "two churn writers"
+    (Invalid_argument
+       "Protocol.run_with_churn: the system's engine already has a churn \
+        plane; drive churn from one of the two, not both")
+    (fun () -> ignore (Protocol.run_with_churn (Sim.create ()) s ~duration:10.))
 
 let test_protocol_churn_still_useful () =
   (* Even with churn, coordinates of surviving nodes should be usable
@@ -413,6 +431,8 @@ let () =
           Alcotest.test_case "probe accounting" `Quick test_protocol_probe_accounting;
           Alcotest.test_case "converges" `Quick test_protocol_converges;
           Alcotest.test_case "churn accounting" `Quick test_protocol_churn_accounting;
+          Alcotest.test_case "refuses engine churn" `Quick
+            test_protocol_churn_refuses_engine_churn;
           Alcotest.test_case "useful under churn" `Quick test_protocol_churn_still_useful;
           Alcotest.test_case "reset node" `Quick test_protocol_reset_node;
           Alcotest.test_case "resumable" `Quick test_protocol_resumable;
