@@ -18,6 +18,9 @@ module Fault = Tivaware_measure.Fault
 module Budget = Tivaware_measure.Budget
 module Churn = Tivaware_measure.Churn
 module Oracle = Tivaware_measure.Oracle
+module Euclidean = Tivaware_topology.Euclidean
+module Multicast = Tivaware_overlay.Multicast
+module Delay_backend = Tivaware_backend.Delay_backend
 
 (* Probe-engine kernels: the per-lookup cost the measurement plane adds
    over a raw Matrix.get.  Collected separately into BENCH_measure.json. *)
@@ -117,6 +120,29 @@ let measure_tests m =
            ignore (Matrix.get m (Rng.int rng 200) (Rng.int rng 200))));
   ]
 
+(* Tree kernels: the per-chunk child lookup a streaming swarm pays on
+   every forward, on a swarm-sized tree (200 members of 800 nodes,
+   fan-out 4).  Collected into BENCH_measure.json with the measure
+   kernels. *)
+let overlay_tests () =
+  let n = 800 in
+  let m = Euclidean.uniform_box (Rng.create 11) ~n ~dim:3 ~side_ms:200. in
+  let join_order = Rng.sample_indices (Rng.create 12) ~n ~k:200 in
+  let tree =
+    Multicast.build_backend
+      ~config:{ Multicast.default_config with Multicast.max_degree = 4 }
+      (Delay_backend.dense m) ~join_order
+  in
+  let members = Array.of_list (Multicast.members tree) in
+  let next = ref 0 in
+  [
+    Test.make ~name:"overlay/children"
+      (Staged.stage (fun () ->
+           let node = members.(!next) in
+           next := (!next + 1) mod Array.length members;
+           ignore (Multicast.children tree node)));
+  ]
+
 let tests () =
   let data = Datasets.generate ~size:200 ~seed:99 Datasets.Ds2 in
   let m = data.Generator.matrix in
@@ -152,6 +178,7 @@ let tests () =
            ignore (Datasets.generate ~size:200 ~seed:5 Datasets.Ds2)));
   ]
   @ measure_tests m
+  @ overlay_tests ()
 
 (* Strip bechamel's group prefix ("kernel/name" -> "name"). *)
 let kernel_name name =
@@ -162,11 +189,11 @@ let kernel_name name =
 
 let write_measure_json estimates =
   let module Json = Tivaware_obs.Json in
-  let measure =
-    List.filter
-      (fun (name, _) -> String.length name >= 8 && String.sub name 0 8 = "measure/")
-      estimates
+  let gated name =
+    String.starts_with ~prefix:"measure/" name
+    || String.starts_with ~prefix:"overlay/" name
   in
+  let measure = List.filter (fun (name, _) -> gated name) estimates in
   if measure <> [] then begin
     let kernels =
       List.map

@@ -18,6 +18,10 @@ type t = {
   wants : bool array;
   (* group membership intent: everyone from the join order; a detached
      node with [wants] set rejoins when repair finds it up again *)
+  kids : int array array;
+  (* child index: [kids.(p)] holds, ascending in its first [nkids.(p)]
+     slots, every node whose [parent] is [p]; kept by [set_parent] *)
+  nkids : int array;
 }
 
 let root t = t.root
@@ -33,11 +37,44 @@ let members t =
 let children_count t node = t.degree.(node)
 
 let children t node =
+  let slots = t.kids.(node) in
   let out = ref [] in
-  Array.iteri
-    (fun c p -> if p = node && t.joined.(c) && c <> t.root then out := c :: !out)
-    t.parent;
-  List.rev !out
+  for i = t.nkids.(node) - 1 downto 0 do
+    let c = slots.(i) in
+    if t.joined.(c) && c <> t.root then out := c :: !out
+  done;
+  !out
+
+(* The one writer of [t.parent]: moves [c] from its old parent's slots
+   to [p]'s ([-1] = none), keeping both slot prefixes ascending. *)
+let set_parent t c p =
+  let old = t.parent.(c) in
+  if old <> p then begin
+    if old >= 0 then begin
+      let slots = t.kids.(old) and len = t.nkids.(old) in
+      let i = ref 0 in
+      while slots.(!i) <> c do incr i done;
+      Array.blit slots (!i + 1) slots !i (len - !i - 1);
+      t.nkids.(old) <- len - 1
+    end;
+    t.parent.(c) <- p;
+    if p >= 0 then begin
+      let len = t.nkids.(p) in
+      if len = Array.length t.kids.(p) then begin
+        let grown = Array.make (max 4 (2 * len)) (-1) in
+        Array.blit t.kids.(p) 0 grown 0 len;
+        t.kids.(p) <- grown
+      end;
+      let slots = t.kids.(p) in
+      let i = ref len in
+      while !i > 0 && slots.(!i - 1) > c do
+        slots.(!i) <- slots.(!i - 1);
+        decr i
+      done;
+      slots.(!i) <- c;
+      t.nkids.(p) <- len + 1
+    end
+  end
 
 (* [known]: whether the pair can carry a tree edge at all — the
    backend's query is not nan, which for a matrix-wrapping backend is
@@ -75,6 +112,8 @@ let build_general ?(config = default_config) ~n ~known ~join_order ~predict () =
       joined = Array.make n false;
       degree = Array.make n 0;
       wants = Array.make n false;
+      kids = Array.make n [||];
+      nkids = Array.make n 0;
     }
   in
   Array.iter (fun node -> t.wants.(node) <- true) join_order;
@@ -85,7 +124,7 @@ let build_general ?(config = default_config) ~n ~known ~join_order ~predict () =
       if idx > 0 then begin
         match best_attachment t ~known ~predict node !member_list with
         | Some (chosen, _) ->
-          t.parent.(node) <- chosen;
+          set_parent t node chosen;
           t.joined.(node) <- true;
           t.degree.(chosen) <- t.degree.(chosen) + 1;
           member_list := node :: !member_list
@@ -179,7 +218,7 @@ let refresh_general t rng ~known ~predict =
         if better >= 0 && (Float.is_nan current_cost || !best_cost < current_cost)
         then begin
           t.degree.(current) <- t.degree.(current) - 1;
-          t.parent.(node) <- better;
+          set_parent t node better;
           t.degree.(better) <- t.degree.(better) + 1;
           incr switches
         end
@@ -306,7 +345,7 @@ let repair_general t rng ~known ~predict ~up =
     (fun node ->
       if node <> t.root && not (up node) then begin
         t.joined.(node) <- false;
-        t.parent.(node) <- -1;
+        set_parent t node (-1);
         incr detached
       end)
     (members t);
@@ -322,34 +361,48 @@ let repair_general t rng ~known ~predict ~up =
   let live_members () =
     List.filter (fun c -> up c) (members t)
   in
-  List.iter
-    (fun node ->
-      if node <> t.root && t.joined.(node) then begin
-        let p = t.parent.(node) in
-        let orphaned = p < 0 || (not t.joined.(p)) || not (up p) in
-        if orphaned then begin
-          let pool = Array.of_list (live_members ()) in
-          let sample =
-            if Array.length pool = 0 then []
-            else
-              List.init t.config.refresh_sample (fun _ -> Rng.choice rng pool)
-          in
-          let eligible =
-            List.filter (fun c -> not (in_subtree t node c)) (t.root :: sample)
-          in
-          match best_attachment t ~known ~predict node eligible with
-          | Some (chosen, _) when up chosen ->
-            t.parent.(node) <- chosen;
-            t.degree.(chosen) <- t.degree.(chosen) + 1;
-            incr reattached
-          | _ ->
-            (* No live attachment point this pass: the node leaves the
-               tree and rejoins later like any revived member. *)
-            t.joined.(node) <- false;
-            t.parent.(node) <- -1
-        end
-      end)
-    (members t);
+  let orphaned node =
+    node <> t.root && t.joined.(node)
+    &&
+    let p = t.parent.(node) in
+    p < 0 || (not t.joined.(p)) || not (up p)
+  in
+  (* Re-attaches an orphan, or detaches it and returns [false]. *)
+  let regraft node =
+    let pool = Array.of_list (live_members ()) in
+    let sample =
+      if Array.length pool = 0 then []
+      else List.init t.config.refresh_sample (fun _ -> Rng.choice rng pool)
+    in
+    let eligible =
+      List.filter (fun c -> not (in_subtree t node c)) (t.root :: sample)
+    in
+    match best_attachment t ~known ~predict node eligible with
+    | Some (chosen, _) when up chosen ->
+      set_parent t node chosen;
+      t.degree.(chosen) <- t.degree.(chosen) + 1;
+      incr reattached;
+      true
+    | _ ->
+      (* No live attachment point this pass: the node leaves the
+         tree and rejoins later like any revived member. *)
+      t.joined.(node) <- false;
+      set_parent t node (-1);
+      false
+  in
+  (* A detached orphan can strand a member visited before it — one that
+     kept it as parent or re-attached to it — so every sweep with a
+     detach is followed by another.  A sweep without one re-attached
+     every orphan to a member that stays joined, so this ends. *)
+  let rec sweep () =
+    let detached_any = ref false in
+    List.iter
+      (fun node ->
+        if orphaned node && not (regraft node) then detached_any := true)
+      (members t);
+    if !detached_any then sweep ()
+  in
+  sweep ();
   recompute_degrees t;
   (* 3. Revived members rejoin the group they still want. *)
   Array.iteri
@@ -362,7 +415,7 @@ let repair_general t rng ~known ~predict ~up =
         in
         match best_attachment t ~known ~predict node (t.root :: sample) with
         | Some (chosen, _) when up chosen ->
-          t.parent.(node) <- chosen;
+          set_parent t node chosen;
           t.joined.(node) <- true;
           t.degree.(chosen) <- t.degree.(chosen) + 1;
           incr rejoined

@@ -27,7 +27,8 @@ type t
 
 val root : t -> int
 val parent : t -> int -> int option
-(** [None] for the root and for nodes that failed to join. *)
+(** [None] for the root and for nodes that failed to join.  A joined
+    non-root member's parent is always a member. *)
 
 val members : t -> int list
 (** Joined nodes, root included. *)
@@ -37,7 +38,9 @@ val children_count : t -> int -> int
 val children : t -> int -> int list
 (** Current children of a member, in ascending node order — the set a
     chunk-forwarding overlay pushes to.  Empty for leaves, for the
-    un-joined, and for nodes whose children all left. *)
+    un-joined, and for nodes whose children all left.  Read from a
+    per-node child index that every parent change keeps sorted: costs
+    O(children of the node), not O(n). *)
 
 val build_backend :
   ?config:config ->
@@ -92,7 +95,10 @@ val repair :
     (the root is always a candidate, so the tree cannot fragment while
     the root is up), and revived members that still want the group
     rejoin the same way.  Orphans with no live attachment point leave
-    the tree and rejoin on a later pass.  Degrees are recomputed from
+    the tree and rejoin on a later pass; a member left under such an
+    orphan is re-attached in the same pass, so when [repair] returns
+    every joined non-root member hangs off a joined parent.  Degrees
+    are recomputed from
     the repaired parent relation.  The root never detaches; while it is
     down, repair keeps the surviving members attached among themselves
     and re-hangs them once it returns. *)

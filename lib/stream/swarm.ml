@@ -102,7 +102,7 @@ type t = {
   tree : Multicast.t;
   nodes : int array;  (* member node ids, ascending *)
   src_idx : int;  (* index of the source in [nodes] *)
-  idx_of : (int, int) Hashtbl.t;  (* node id -> member index *)
+  idx_of : int array;  (* node id -> member index, -1 outside the swarm *)
   chunks : int;
   recv : float array array;  (* member index x chunk -> receive time (s), nan = not held *)
   repair_rng : Rng.t;
@@ -174,8 +174,8 @@ let create ?arbiter ~config ~select ~backend ~engine () =
           nodes;
         match !found with Some k -> k | None -> 0)
   in
-  let idx_of = Hashtbl.create (2 * config.members) in
-  Array.iteri (fun k node -> Hashtbl.replace idx_of node k) nodes;
+  let idx_of = Array.make n (-1) in
+  Array.iteri (fun k node -> idx_of.(node) <- k) nodes;
   let join_order =
     let rest =
       Array.of_list
@@ -276,7 +276,7 @@ let rec forward t sim midx k now =
         Obs.Counter.incr t.inst.c_transfer_failures
       end
       else
-        let cidx = Hashtbl.find t.idx_of child in
+        let cidx = t.idx_of.(child) in
         Sim.schedule_at sim (now +. (d /. 1000.)) (fun () ->
             deliver t sim cidx k (Sim.now sim)))
     (Multicast.children t.tree node)
@@ -326,7 +326,7 @@ let pull_pass t sim now =
                 Obs.Counter.incr t.inst.c_pull_failures
               end
               else
-                let pidx = Hashtbl.find t.idx_of p in
+                let pidx = t.idx_of.(p) in
                 List.iter
                   (fun k ->
                     t.pull_requests <- t.pull_requests + 1;
@@ -392,7 +392,6 @@ let deadline_check t emit_time k now =
             (* No measurable direct path to judge stretch against: the
                delivery counts, the stretch sample is recorded as
                dropped instead of silently narrowing the percentiles. *)
-            t.stretches <- t.stretches;
             Obs.Counter.incr t.inst.c_stretch_dropped
           end
         end

@@ -411,6 +411,118 @@ let prop_refresh_matches_reference =
       Alcotest.(check int64) "next draw" (Rng.int64 ra) (Rng.int64 rb);
       true)
 
+(* ------------------------------------------------------------------ *)
+(* Child index against the O(n) parent scan it replaced                *)
+
+(* The scan [children] used to run: every joined non-root node whose
+   parent is [node], ascending. *)
+let scan_children t n node =
+  List.filter
+    (fun c -> Multicast.parent t c = Some node)
+    (List.init n Fun.id)
+
+(* Every node's children equal the scan, a joined node's
+   [children_count] is the scan's length, and every joined non-root
+   member hangs off a member. *)
+let check_index t n what =
+  let joined = Array.make n false in
+  List.iter (fun v -> joined.(v) <- true) (Multicast.members t);
+  for v = 0 to n - 1 do
+    let expected = scan_children t n v in
+    Alcotest.(check (list int))
+      (Printf.sprintf "%s: children of %d" what v)
+      expected (Multicast.children t v);
+    if joined.(v) then
+      Alcotest.(check int)
+        (Printf.sprintf "%s: children_count of %d" what v)
+        (List.length expected)
+        (Multicast.children_count t v);
+    match Multicast.parent t v with
+    | Some p when not joined.(p) ->
+      Alcotest.failf "%s: member %d under detached parent %d" what v p
+    | _ -> ()
+  done
+
+(* Random sequences of build, refresh and repair (random liveness, the
+   root included) over worlds with missing pairs: after every operation
+   the index must agree with the scan. *)
+let prop_child_index_matches_scan =
+  qcheck ~count:25 "child index = O(n) parent scan"
+    QCheck2.Gen.(int_range 0 100_000)
+    (fun seed ->
+      let g = Rng.create seed in
+      let n = 2 + Rng.int g 299 in
+      let m = euclidean_matrix seed n in
+      let holes = Rng.uniform g 0. 0.3 in
+      for i = 0 to n - 1 do
+        for j = i + 1 to n - 1 do
+          if Rng.bernoulli g holes then Matrix.set m i j nan
+        done
+      done;
+      let backend = Delay_backend.dense m in
+      let config =
+        {
+          Multicast.max_degree = 1 + Rng.int g 6;
+          refresh_sample = 1 + Rng.int g 16;
+        }
+      in
+      let build () =
+        let joining = 1 + Rng.int g n in
+        let order = Array.sub (Rng.permutation g n) 0 joining in
+        Multicast.build_backend ~config backend ~join_order:order
+      in
+      let t = ref (build ()) in
+      check_index !t n (Printf.sprintf "seed %d build" seed);
+      for step = 1 to 12 do
+        let what = Printf.sprintf "seed %d step %d" seed step in
+        (match Rng.int g 5 with
+         | 0 -> t := build ()
+         | 1 | 2 -> ignore (Multicast.refresh_backend !t g backend)
+         | _ ->
+           let down = Rng.uniform g 0. 0.5 in
+           let up = Array.init n (fun _ -> not (Rng.bernoulli g down)) in
+           ignore
+             (Multicast.repair !t g backend
+                ~predict:(Delay_backend.query backend)
+                ~up:(fun v -> up.(v))));
+        check_index !t n what
+      done;
+      true)
+
+(* Orphan 0 re-attaches to orphan 1, which is visited later, finds no
+   live attachment point and leaves the tree.  Repair must not leave 0
+   under the detached 1: it re-grafts 0 to the root in the same pass.
+
+   Fan-out 1 builds the chain 4 -> 2 -> 1 -> 3 -> 0; nodes 2 and 3 go
+   down.  Node 1 has no edge to the root; node 0 reaches the root too,
+   but prefers the nearer 1.  Left stranded, 0 would close a cycle when
+   1 rejoins under it. *)
+let test_repair_strands_no_member () =
+  let m = Matrix.create 5 in
+  List.iter
+    (fun (i, j, d) -> Matrix.set m i j d)
+    [ (4, 2, 10.); (2, 1, 10.); (1, 3, 10.); (3, 0, 10.); (0, 1, 10.); (0, 4, 100.) ];
+  let backend = Delay_backend.dense m in
+  let config = { Multicast.default_config with Multicast.max_degree = 1 } in
+  let t =
+    Multicast.build_backend ~config backend ~join_order:[| 4; 2; 1; 3; 0 |]
+  in
+  Alcotest.(check (list (option int))) "chain"
+    [ Some 3; Some 2; Some 4; Some 1; None ]
+    (List.init 5 (Multicast.parent t));
+  let r =
+    Multicast.repair t (Rng.create 1) backend
+      ~predict:(Delay_backend.query backend)
+      ~up:(fun v -> v <> 2 && v <> 3)
+  in
+  Alcotest.(check int) "detached" 2 r.Multicast.detached;
+  Alcotest.(check int) "rejoined" 1 r.Multicast.rejoined;
+  Alcotest.(check (list (option int))) "0 under the root, 1 rejoined under 0"
+    [ Some 4; Some 0; None; None; None ]
+    (List.init 5 (Multicast.parent t));
+  Alcotest.(check (list int)) "1 has no children" [] (Multicast.children t 1);
+  check_index t 5 "after repair"
+
 let () =
   Alcotest.run "overlay"
     [
@@ -429,5 +541,8 @@ let () =
             test_engine_build_refresh_equivalence;
           prop_build_invariants_random;
           prop_refresh_matches_reference;
+          prop_child_index_matches_scan;
+          Alcotest.test_case "repair strands no member" `Quick
+            test_repair_strands_no_member;
         ] );
     ]
