@@ -92,17 +92,49 @@ let measure_tests m =
         }
       (Oracle.of_fn ~size:100_000 (fun _ _ -> 1.))
   in
+  (* A serve-sized cache: 400 nodes, every one of their 79,800 pairs
+     cached under the 10 s TTL the delay service uses.  Each lookup
+     moves the clock on by one 79,800th of the TTL, so a pair comes
+     round about once per TTL and the lookups mix hits with stale
+     re-probes; the table is far past what fits in a core's cache. *)
+  let serve_n = 400 in
+  let serve_m = Euclidean.uniform_box (Rng.create 13) ~n:serve_n ~dim:3 ~side_ms:200. in
+  let serve_engine =
+    Engine.of_matrix
+      ~config:{ Engine.default_config with Engine.cache_ttl = Some 10. }
+      serve_m
+  in
+  let serve_pairs = serve_n * (serve_n - 1) / 2 in
+  let serve_dt = 10. /. float_of_int serve_pairs in
+  for i = 0 to serve_n - 1 do
+    for j = i + 1 to serve_n - 1 do
+      ignore (Engine.rtt serve_engine i j);
+      Engine.advance serve_engine serve_dt
+    done
+  done;
   let rng = Rng.create 7 in
   [
     Test.make ~name:"measure/probe-oracle"
       (Staged.stage (fun () ->
            ignore (Engine.rtt oracle_engine (Rng.int rng 200) (Rng.int rng 200))));
+    (* What every protocol's probe pays: a plane label is attributed
+       per issued attempt. *)
+    Test.make ~name:"measure/probe-labelled"
+      (Staged.stage (fun () ->
+           ignore
+             (Engine.rtt ~label:"meridian" oracle_engine (Rng.int rng 200)
+                (Rng.int rng 200))));
     Test.make ~name:"measure/probe-faulty"
       (Staged.stage (fun () ->
            ignore (Engine.rtt faulty_engine (Rng.int rng 200) (Rng.int rng 200))));
     Test.make ~name:"measure/cache-hit"
       (Staged.stage (fun () ->
            ignore (Engine.rtt cached_engine (Rng.int rng 50) (Rng.int rng 50))));
+    Test.make ~name:"measure/cache-serve-400"
+      (Staged.stage (fun () ->
+           Engine.advance serve_engine serve_dt;
+           ignore
+             (Engine.rtt serve_engine (Rng.int rng serve_n) (Rng.int rng serve_n))));
     Test.make ~name:"measure/lru-cache-hit"
       (Staged.stage (fun () ->
            ignore (Engine.rtt lru_engine (Rng.int rng 50) (Rng.int rng 50))));
@@ -180,20 +212,13 @@ let tests () =
   @ measure_tests m
   @ overlay_tests ()
 
-(* Strip bechamel's group prefix ("kernel/name" -> "name"). *)
-let kernel_name name =
-  match String.index_opt name '/' with
-  | Some i when String.sub name 0 i = "kernel" ->
-    String.sub name (i + 1) (String.length name - i - 1)
-  | _ -> name
+(* The kernels [perf_check] gates, written to BENCH_measure.json. *)
+let gated name =
+  String.starts_with ~prefix:"measure/" name
+  || String.starts_with ~prefix:"overlay/" name
 
-let write_measure_json estimates =
+let write_measure_json measure =
   let module Json = Tivaware_obs.Json in
-  let gated name =
-    String.starts_with ~prefix:"measure/" name
-    || String.starts_with ~prefix:"overlay/" name
-  in
-  let measure = List.filter (fun (name, _) -> gated name) estimates in
   if measure <> [] then begin
     let kernels =
       List.map
@@ -215,26 +240,85 @@ let write_measure_json estimates =
     Printf.printf "wrote BENCH_measure.json (%d kernels)\n" (List.length measure)
   end
 
+(* Every gated kernel is measured [gated_rounds] times, each time right
+   after a run of the baseline kernel, in rounds over all of them.
+   [perf_check] normalizes every kernel by the baseline, so the
+   baseline reports the median of all its runs, and each kernel the
+   median of its per-round ratios to the baseline run next to it,
+   times that unit: a host that slows down for a while slows a kernel
+   and its neighbouring baseline together, and the medians shed a
+   round that a burst of load spoiled.  The garbage collector is
+   compacted once per estimate, not before every sample: compacting
+   the benchmark's heap before each sample spent the time quota on the
+   collector and left only short samples, whose timer overhead then
+   swamped the kernels. *)
+let gated_rounds = 5
+let baseline_kernel = "measure/matrix-get-baseline"
+
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort Float.compare a;
+  let n = Array.length a in
+  if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.
+
 let run () =
   let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.5) ~kde:(Some 500) () in
-  (* Run each test individually, print the OLS-estimated monotonic time
-     per run, and collect the estimates. *)
-  let estimates = ref [] in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg instances test in
-      let ols =
-        Analyze.all (Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |])
-          (Instance.monotonic_clock) results
-      in
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some [ est ] ->
-            Printf.printf "%-28s %12.1f ns/run\n" name est;
-            estimates := (kernel_name name, est) :: !estimates
-          | _ -> Printf.printf "%-28s (no estimate)\n" name)
-        ols)
-    (List.map (fun t -> Test.make_grouped ~name:"kernel" [ t ]) (tests ()));
-  write_measure_json (List.rev !estimates)
+  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~stabilize:false () in
+  (* The OLS-estimated monotonic time per run of one test. *)
+  let estimate test =
+    let results = Benchmark.all cfg instances test in
+    let ols =
+      Analyze.all (Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |])
+        (Instance.monotonic_clock) results
+    in
+    Hashtbl.fold
+      (fun _ result acc ->
+        match Analyze.OLS.estimates result with
+        | Some [ est ] -> Some est
+        | _ -> acc)
+      ols None
+  in
+  let report name = function
+    | Some est -> Printf.printf "%-28s %12.1f ns/run\n%!" name est
+    | None -> Printf.printf "%-28s (no estimate)\n%!" name
+  in
+  let tests = tests () in
+  let baseline = List.find (fun t -> Test.name t = baseline_kernel) tests in
+  let gated_tests, others = List.partition (fun t -> gated (Test.name t)) tests in
+  List.iter (fun t -> report (Test.name t) (estimate t)) others;
+  let gated_tests =
+    List.filter (fun t -> Test.name t <> baseline_kernel) gated_tests
+  in
+  (* Rounds outermost, so each kernel's samples spread over the whole
+     run rather than bunching into one stretch of host load. *)
+  let baseline_runs = ref [] and ratios = Hashtbl.create 16 in
+  for _ = 1 to gated_rounds do
+    List.iter
+      (fun t ->
+        match (estimate baseline, estimate t) with
+        | Some b, Some k ->
+          baseline_runs := b :: !baseline_runs;
+          Hashtbl.add ratios (Test.name t) (k /. b)
+        | _ -> ())
+      gated_tests
+  done;
+  match !baseline_runs with
+  | [] -> print_endline "no baseline estimate; BENCH_measure.json not written"
+  | runs ->
+    let unit_ns = median runs in
+    let kernels =
+      List.filter_map
+        (fun t ->
+          let name = Test.name t in
+          match Hashtbl.find_all ratios name with
+          | [] ->
+            report name None;
+            None
+          | rs ->
+            let ns = median rs *. unit_ns in
+            report name (Some ns);
+            Some (name, ns))
+        gated_tests
+    in
+    report baseline_kernel (Some unit_ns);
+    write_measure_json (kernels @ [ (baseline_kernel, unit_ns) ])

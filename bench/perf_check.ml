@@ -7,6 +7,10 @@
    files carry the [measure/matrix-get-baseline] kernel every timing is
    first normalized by it — a uniformly 2x-slower CI runner then cancels
    out and only *relative* regressions of the measurement plane remain.
+   The unit has to be steadier than the gate is tight: [bench/perf.ml]
+   writes it as the median of a baseline run before every kernel
+   sample, and each kernel as its median ratio to those runs times the
+   unit, so the ratio this gate compares is that median ratio.
    A kernel present in the baseline but missing from the fresh run is a
    failure too (a silently dropped benchmark is not a speedup). *)
 

@@ -22,6 +22,9 @@ type lazy_state = {
   bucket_of : int array;
   lazy_labels : int array;
   memo : Cache.t option;
+  memo_out : float array;
+      (* [Cache.find_code]'s out-parameter, so a memo lookup allocates
+         nothing *)
 }
 
 type kind =
@@ -68,7 +71,17 @@ let lazy_synth ?(jitter = 0.05) ?memo ~seed ~size model =
   in
   {
     size;
-    kind = Lazy { model; seed; jitter; bucket_of; lazy_labels; memo };
+    kind =
+      Lazy
+        {
+          model;
+          seed;
+          jitter;
+          bucket_of;
+          lazy_labels;
+          memo;
+          memo_out = [| nan |];
+        };
     inst = None;
   }
 
@@ -130,25 +143,23 @@ let rec query t i j =
         | Some b -> query b i j
         | None -> nan)
     end
-    | Lazy ls -> begin
+    | Lazy ls ->
       let memo_hit =
         match ls.memo with
-        | None -> None
-        | Some c -> (
-          match Cache.find c ~now:0. i j with
-          | Cache.Hit d -> Some d
-          | Cache.Stale | Cache.Miss -> None)
+        | None -> false
+        | Some c ->
+          Cache.find_code c ~now:0. ~into:ls.memo_out i j = Cache.code_hit
       in
-      match memo_hit with
-      | Some d ->
+      if memo_hit then begin
         (match t.inst with
         | Some inst ->
           Obs.Counter.incr inst.queries;
           Obs.Counter.incr inst.memo_hits;
           Obs.Histogram.observe inst.draws 0.
         | None -> ());
-        d
-      | None ->
+        ls.memo_out.(0)
+      end
+      else begin
         let d = draw_lazy ls i j in
         (* nan = 1 draw (missing trial, or an empty bucket after it);
            a realized delay = bernoulli + choice + jitter = 3 draws. *)
@@ -168,7 +179,7 @@ let rec query t i j =
           Obs.Gauge.set inst.materialized_gauge (float_of_int (materialized t))
         | None -> ());
         d
-    end
+      end
 
 let set t i j d =
   match t.kind with

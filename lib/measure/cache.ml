@@ -1,13 +1,22 @@
-(* TTL'd RTT cache with optional capacity-bounded LRU eviction.
-   Recency is an intrusive circular doubly-linked list over the entries
-   threaded through a sentinel (sentinel.next = most recently used,
-   sentinel.prev = least recently used), so relinking is O(1) and —
-   unlike option-linked lists — relinking an entry on a hit allocates
-   nothing.  Pairs are packed into one int key ([min lsl 31 lor max]),
-   so lookups build no tuple.  The table hashes that key with
-   [hash_key], not the polymorphic [Hashtbl.hash], which folds a 64-bit
-   int to 32 bits as [d lsr 32 lxor d] and so lands [min] on top of
-   [max] (1,021 distinct hashes for the 79,800 pairs of 400 nodes). *)
+(* TTL'd RTT cache with optional capacity-bounded LRU eviction, as a
+   flat open-addressing table (the layout of [Fault]'s loss table).
+
+   Entries live in a dense pool of flat arrays indexed by entry id
+   [0 .. len-1]: [keys.(id)] is the packed pair, and [vals.(2 * id)] /
+   [vals.(2 * id + 1)] its value and measured-at time, so a lookup
+   reads unboxed floats and allocates nothing.  The index is an [int
+   array] of [key; id] pairs per slot, probed linearly from [hash_key];
+   a probe compares keys inside the index, so a hit costs one index
+   line and one value line.  Deleting (a stale drop or an LRU eviction)
+   shifts the rest of the probe run back over the hole, so no
+   tombstones pile up, and moves the pool's last entry into the freed
+   id, so the pool stays dense.
+
+   Recency is only observed through evictions, so the LRU links —
+   [prev]/[next] arrays of entry ids, most recent at [head] — exist
+   only when a capacity is set; an unbounded cache never allocates or
+   updates them.  Pairs are packed into one int key
+   ([min lsl 31 lor max]), so lookups build no tuple. *)
 
 (* Xor-shift-multiply mix of the 63-bit key (SplitMix64's finalizer
    with its multipliers cut to OCaml's int width), so every key bit
@@ -17,35 +26,29 @@ let[@inline] hash_key k =
   let z = (z lxor (z lsr 27)) * 0x14d049bb133111eb in
   (z lxor (z lsr 31)) land max_int
 
-module Table = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash = hash_key
-end)
-
-type entry = {
-  key : int;
-  mutable value : float;
-  mutable measured : float;
-  mutable prev : entry;  (* toward the head (more recent) *)
-  mutable next : entry;  (* toward the tail (least recent) *)
-}
+(* Packed keys are never negative, so -1 marks a free index slot and
+   the end of an LRU list. *)
+let empty = -1
+let nil = -1
+let initial_slots = 64
 
 type t = {
   ttl : float;
   capacity : int option;
-  entries : entry Table.t;
-  sentinel : entry;
+  bounded : bool;  (* [capacity <> None]: the LRU links are live *)
+  (* [2 * slot] the slot's key ([empty] when free), [2 * slot + 1]
+     its entry id; the slot count is a power of two. *)
+  mutable index : int array;
+  mutable keys : int array;
+  mutable vals : float array;
+  mutable len : int;
+  (* LRU links by entry id; [[||]] when there is no capacity. *)
+  mutable prev : int array;  (* toward [head] (more recent) *)
+  mutable next : int array;  (* toward [tail] (less recent) *)
+  mutable head : int;
+  mutable tail : int;
   mutable evictions : int;
-  mutable absent : int;
-      (* a key the last lookup proved missing, or -1: until it is
-         stored, [store] can insert it without searching first *)
 }
-
-let make_sentinel () =
-  let rec s = { key = min_int; value = nan; measured = nan; prev = s; next = s } in
-  s
 
 let create ?capacity ~ttl () =
   if Float.is_nan ttl || not (ttl > 0.) then
@@ -55,39 +58,27 @@ let create ?capacity ~ttl () =
     invalid_arg
       (Printf.sprintf "Cache.create: capacity must be >= 1 (got %d)" c)
   | _ -> ());
+  let bounded = capacity <> None in
+  let lru n = if bounded then Array.make n nil else [||] in
   {
     ttl;
     capacity;
-    entries = Table.create 256;
-    sentinel = make_sentinel ();
+    bounded;
+    index = Array.make (2 * initial_slots) empty;
+    keys = Array.make initial_slots empty;
+    vals = Array.make (2 * initial_slots) 0.;
+    len = 0;
+    prev = lru initial_slots;
+    next = lru initial_slots;
+    head = nil;
+    tail = nil;
     evictions = 0;
-    absent = -1;
   }
 
 let ttl t = t.ttl
 let capacity t = t.capacity
 let evictions t = t.evictions
-
-let unlink e =
-  e.prev.next <- e.next;
-  e.next.prev <- e.prev
-
-let push_front t e =
-  let s = t.sentinel in
-  e.prev <- s;
-  e.next <- s.next;
-  s.next.prev <- e;
-  s.next <- e
-
-let touch t e =
-  if t.sentinel.next != e then begin
-    unlink e;
-    push_front t e
-  end
-
-let drop t e =
-  unlink e;
-  Table.remove t.entries e.key
+let length t = t.len
 
 type lookup = Hit of float | Stale | Miss
 
@@ -101,63 +92,165 @@ let code_hit = 0
 let code_stale = 1
 let code_miss = 2
 
+(* The slot holding [k], or the free slot that ends its probe run. *)
+let rec probe index mask k s =
+  let k' = index.(2 * s) in
+  if k' = k || k' = empty then s else probe index mask k ((s + 1) land mask)
+
+let[@inline] slot_of index k =
+  let mask = (Array.length index / 2) - 1 in
+  probe index mask k (hash_key k land mask)
+
+(* LRU list maintenance; only called when [t.prev] is allocated. *)
+let unlink t id =
+  let p = t.prev.(id) and n = t.next.(id) in
+  if p = nil then t.head <- n else t.next.(p) <- n;
+  if n = nil then t.tail <- p else t.prev.(n) <- p
+
+let push_front t id =
+  t.prev.(id) <- nil;
+  t.next.(id) <- t.head;
+  if t.head = nil then t.tail <- id else t.prev.(t.head) <- id;
+  t.head <- id
+
+let[@inline] touch t id =
+  if t.bounded && t.head <> id then begin
+    unlink t id;
+    push_front t id
+  end
+
+(* Empty slot [hole] and pull later members of its probe run back over
+   it: an entry at [s] whose home slot is not cyclically inside
+   [(hole, s]] would become unreachable past a free slot, so it moves
+   into the hole, which moves on to [s]. *)
+let rec shift_back index mask hole s =
+  let s = (s + 1) land mask in
+  let k = index.(2 * s) in
+  if k = empty then index.(2 * hole) <- empty
+  else begin
+    let home = hash_key k land mask in
+    if (s - home) land mask >= (s - hole) land mask then begin
+      index.(2 * hole) <- k;
+      index.((2 * hole) + 1) <- index.((2 * s) + 1);
+      shift_back index mask s s
+    end
+    else shift_back index mask hole s
+  end
+
+(* Remove the entry in index slot [s]: close the index hole, then move
+   the pool's last entry into the freed id (fixing its index slot and
+   LRU neighbours) so ids stay dense. *)
+let delete t s =
+  let index = t.index in
+  let mask = (Array.length index / 2) - 1 in
+  let id = index.((2 * s) + 1) in
+  shift_back index mask s s;
+  if t.bounded then unlink t id;
+  let last = t.len - 1 in
+  if id <> last then begin
+    let k = t.keys.(last) in
+    t.keys.(id) <- k;
+    t.vals.(2 * id) <- t.vals.(2 * last);
+    t.vals.((2 * id) + 1) <- t.vals.((2 * last) + 1);
+    index.((2 * slot_of index k) + 1) <- id;
+    if t.bounded then begin
+      let p = t.prev.(last) and n = t.next.(last) in
+      t.prev.(id) <- p;
+      t.next.(id) <- n;
+      if p = nil then t.head <- id else t.next.(p) <- id;
+      if n = nil then t.tail <- id else t.prev.(n) <- id
+    end
+  end;
+  t.len <- last
+
 let find_code t ~now ~into i j =
-  let k = key i j in
-  match Table.find t.entries k with
-  | e ->
-    if now -. e.measured <= t.ttl then begin
-      touch t e;
-      into.(0) <- e.value;
-      code_hit
-    end
-    else begin
-      drop t e;
-      t.absent <- k;
-      code_stale
-    end
-  | exception Not_found ->
-    t.absent <- k;
-    code_miss
+  let s = slot_of t.index (key i j) in
+  let id = t.index.((2 * s) + 1) in
+  if t.index.(2 * s) = empty then code_miss
+  else if now -. t.vals.((2 * id) + 1) <= t.ttl then begin
+    touch t id;
+    into.(0) <- t.vals.(2 * id);
+    code_hit
+  end
+  else begin
+    delete t s;
+    code_stale
+  end
 
 let find t ~now i j =
   let buf = [| nan |] in
   let c = find_code t ~now ~into:buf i j in
   if c = code_hit then Hit buf.(0) else if c = code_stale then Stale else Miss
 
+let extend a n fill =
+  let a' = Array.make n fill in
+  Array.blit a 0 a' 0 (Array.length a);
+  a'
+
+(* Double the pool and rebuild the index from it; entry ids and the
+   LRU links keep their meaning. *)
+let grow t =
+  let slots = 2 * Array.length t.keys in
+  t.keys <- extend t.keys slots empty;
+  t.vals <- extend t.vals (2 * slots) 0.;
+  if t.bounded then begin
+    t.prev <- extend t.prev slots nil;
+    t.next <- extend t.next slots nil
+  end;
+  let index = Array.make (2 * slots) empty in
+  for id = 0 to t.len - 1 do
+    let k = t.keys.(id) in
+    let s = slot_of index k in
+    index.(2 * s) <- k;
+    index.((2 * s) + 1) <- id
+  done;
+  t.index <- index
+
 let store t ~now i j value =
   if Float.is_nan value then 0
   else begin
     let k = key i j in
-    match if k = t.absent then None else Table.find_opt t.entries k with
-    | Some e ->
-      e.value <- value;
-      e.measured <- now;
-      touch t e;
+    let s = slot_of t.index k in
+    if t.index.(2 * s) = k then begin
+      let id = t.index.((2 * s) + 1) in
+      t.vals.(2 * id) <- value;
+      t.vals.((2 * id) + 1) <- now;
+      touch t id;
       0
-    | None ->
-      (* [k] is absent here, so [add] (no bucket search) is [replace]. *)
-      t.absent <- -1;
-      let s = t.sentinel in
-      let e = { key = k; value; measured = now; prev = s; next = s } in
-      Table.add t.entries k e;
-      push_front t e;
-      (match t.capacity with
-      | Some cap when Table.length t.entries > cap ->
-        let lru = s.prev in
-        if lru != s then begin
-          drop t lru;
+    end
+    else begin
+      (* Keep the index at most 3/4 full, as [Fault]'s table does; the
+         pool is as long as the index has slots. *)
+      let s =
+        if 4 * (t.len + 1) > 3 * Array.length t.keys then begin
+          grow t;
+          slot_of t.index k
+        end
+        else s
+      in
+      let id = t.len in
+      t.len <- id + 1;
+      t.keys.(id) <- k;
+      t.vals.(2 * id) <- value;
+      t.vals.((2 * id) + 1) <- now;
+      t.index.(2 * s) <- k;
+      t.index.((2 * s) + 1) <- id;
+      match t.capacity with
+      | None -> 0
+      | Some cap ->
+        push_front t id;
+        if t.len > cap then begin
+          let lru = t.tail in
+          delete t (slot_of t.index t.keys.(lru));
           t.evictions <- t.evictions + 1;
           1
         end
         else 0
-      | _ -> 0)
+    end
   end
 
-let length t = Table.length t.entries
-
 let clear t =
-  Table.reset t.entries;
-  t.absent <- -1;
-  let s = t.sentinel in
-  s.next <- s;
-  s.prev <- s
+  Array.fill t.index 0 (Array.length t.index) empty;
+  t.len <- 0;
+  t.head <- nil;
+  t.tail <- nil

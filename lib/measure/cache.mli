@@ -10,14 +10,19 @@
 
     With a [capacity], the cache additionally models a bounded service:
     storing a new pair beyond capacity evicts the least-recently-used
-    entry (hits and refreshes both count as use).  The recency order is
-    an intrusive doubly-linked list, so relinking is O(1); lookups are
-    expected O(1) because the table hashes each pair's packed key with
-    a SplitMix-style finalizer ({!hash_pair}).  The polymorphic
-    [Hashtbl.hash] it replaced folded the packed key to 32 bits so that
-    one index landed on the other: the 79,800 pairs of 400 nodes got
-    only 1,021 distinct hashes, and every lookup walked a chain of up
-    to 228 entries. *)
+    entry (hits and refreshes both count as use).
+
+    The table is flat: an open-addressing index of [key; entry id]
+    pairs over a dense pool of flat arrays (keys in an [int array],
+    value and measured-at time interleaved in one [float array]).
+    Lookups probe linearly from each pair's packed key hashed by a
+    SplitMix-style finalizer ({!hash_pair}), and a hit reads unboxed
+    floats, so {!find_code} allocates nothing.  Deletions (stale drops
+    and evictions) shift the rest of the probe run back, so no
+    tombstones accumulate.  The recency order is a pair of [int array]
+    links over entry ids (O(1) relink), allocated and maintained only
+    when a capacity is set: without a bound, recency is never
+    observed. *)
 
 type t
 

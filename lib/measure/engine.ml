@@ -32,9 +32,9 @@ let ms_per_second = 1000.
 
 (* Observability instruments, resolved once at engine creation so the
    probe hot path pays plain field accesses, not registry lookups.
-   Per-plane series ([{plane=...}] labels) are resolved lazily and
-   memoized, mirroring what Probe_stats already does for its label
-   table. *)
+   Per-plane series ([{plane=...}] labels) are resolved lazily into a
+   table, and the last plane's pair is memoized by physical equality
+   of the label, as [Probe_stats.record_issue] does for its cells. *)
 type instruments = {
   i_requests : Obs.Counter.t;
   i_sent : Obs.Counter.t;
@@ -53,6 +53,9 @@ type instruments = {
   i_cost_ms : Obs.Histogram.t;
   i_per_plane : (string, Obs.Counter.t * Obs.Counter.t) Hashtbl.t;
       (* plane -> (probes sent, probe_ms) *)
+  mutable i_last_plane : string;
+  mutable i_last_sent : Obs.Counter.t;
+  mutable i_last_ms : Obs.Counter.t;
 }
 
 type t = {
@@ -121,6 +124,10 @@ let make_instruments obs =
     i_rtt_ms = Obs.Registry.histogram obs ~edges:rtt_edges "measure.rtt_ms";
     i_cost_ms = Obs.Registry.histogram obs ~edges:cost_edges "measure.cost_ms";
     i_per_plane = Hashtbl.create 8;
+    (* A fresh string no label can be physically equal to. *)
+    i_last_plane = String.make 1 '\000';
+    i_last_sent = Obs.Counter.create ();
+    i_last_ms = Obs.Counter.create ();
   }
 
 let plane_counters t plane =
@@ -134,6 +141,16 @@ let plane_counters t plane =
     in
     Hashtbl.replace t.inst.i_per_plane plane pair;
     pair
+
+(* Point [i_last_sent]/[i_last_ms] at [plane]'s counters. *)
+let select_plane t plane =
+  let inst = t.inst in
+  if plane != inst.i_last_plane then begin
+    let sent, ms = plane_counters t plane in
+    inst.i_last_plane <- plane;
+    inst.i_last_sent <- sent;
+    inst.i_last_ms <- ms
+  end
 
 let validate_config (config : config) =
   Fault.validate_config "Engine.create" config.fault;
@@ -311,7 +328,9 @@ let rec probe_attempt t label i j ~endpoint_down ~retries ~timeout k =
     Obs.Counter.incr inst.i_sent;
     (match label with
     | None -> ()
-    | Some plane -> Obs.Counter.incr (fst (plane_counters t plane)));
+    | Some plane ->
+      select_plane t plane;
+      Obs.Counter.incr inst.i_last_sent);
     if endpoint_down then begin
       st.Probe_stats.lost <- st.Probe_stats.lost + 1;
       Obs.Counter.incr inst.i_lost;
@@ -426,7 +445,9 @@ let probe_code t label i j =
     Obs.Counter.add inst.i_probe_ms cost;
     match label with
     | None -> ()
-    | Some plane -> Obs.Counter.add (snd (plane_counters t plane)) cost
+    | Some plane ->
+      select_plane t plane;
+      Obs.Counter.add inst.i_last_ms cost
   end;
   if t.config.charge_time && cost > 0. then begin
     t.clock <- t.clock +. (cost /. ms_per_second);

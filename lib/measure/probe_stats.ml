@@ -13,7 +13,14 @@ type t = {
   mutable evicted : int;
   mutable probe_ms : float;
   per_label : (string, int ref) Hashtbl.t;
+  mutable last_label : string;
+  mutable last_cell : int ref;
 }
+
+(* A string no caller can hold, so the memo of a fresh or reset record
+   never matches; [no_cell] is then never incremented. *)
+let no_label = String.make 1 '\000'
+let no_cell = ref 0
 
 let create () =
   {
@@ -31,6 +38,8 @@ let create () =
     evicted = 0;
     probe_ms = 0.;
     per_label = Hashtbl.create 8;
+    last_label = no_label;
+    last_cell = no_cell;
   }
 
 let reset t =
@@ -47,7 +56,10 @@ let reset t =
   t.misses <- 0;
   t.evicted <- 0;
   t.probe_ms <- 0.;
-  Hashtbl.reset t.per_label
+  Hashtbl.reset t.per_label;
+  (* The memoized cell left the table with the reset. *)
+  t.last_label <- no_label;
+  t.last_cell <- no_cell
 
 let snapshot t =
   let s = create () in
@@ -74,14 +86,28 @@ let labels t =
   Hashtbl.fold (fun k v acc -> (k, !v) :: acc) t.per_label []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
+(* Callers pass the same label string over and over, so the last
+   label's cell is memoized and matched by physical equality — sound
+   because strings are immutable — before hashing the label. *)
 let record_issue t label =
   t.issued <- t.issued + 1;
   match label with
   | None -> ()
-  | Some l -> (
-    match Hashtbl.find t.per_label l with
-    | c -> incr c
-    | exception Not_found -> Hashtbl.add t.per_label l (ref 1))
+  | Some l ->
+    if l == t.last_label then incr t.last_cell
+    else begin
+      let c =
+        match Hashtbl.find t.per_label l with
+        | c -> c
+        | exception Not_found ->
+          let c = ref 0 in
+          Hashtbl.add t.per_label l c;
+          c
+      in
+      incr c;
+      t.last_label <- l;
+      t.last_cell <- c
+    end
 
 let pp fmt t =
   Format.fprintf fmt

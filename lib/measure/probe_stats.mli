@@ -27,6 +27,11 @@ type t = {
   per_label : (string, int ref) Hashtbl.t;
       (** issued probes per protocol; one counter cell per label, so
           recording a probe is a single lookup *)
+  mutable last_label : string;
+  mutable last_cell : int ref;
+      (** {!record_issue}'s memo: the cell of the last label it saw,
+          matched by physical equality, so a run of probes under one
+          label string hashes it once.  {!reset} clears it. *)
 }
 
 val create : unit -> t

@@ -91,6 +91,15 @@ let quantile t q =
 let sum t = t.sum.(0)
 let mean t = if t.count = 0 then nan else t.sum.(0) /. float_of_int t.count
 let edges t = Array.copy t.edges
+
+(* Element-wise [=], as the structural [=] on the arrays would compare,
+   without copying the edges first.  Top-level, so it allocates no
+   closure. *)
+let rec same_from a b i = i = Array.length a || (a.(i) = b.(i) && same_from a b (i + 1))
+
+let has_edges t edges =
+  Array.length t.edges = Array.length edges && same_from t.edges edges 0
+
 let counts t = Array.copy t.counts
 
 (* Bucket-wise merge: the histogram of the union of both observation

@@ -37,6 +37,9 @@ val quantile : t -> float -> float
 val edges : t -> float array
 (** A copy of the upper edges. *)
 
+val has_edges : t -> float array -> bool
+(** [has_edges h e] is [edges h = e], without the copy. *)
+
 val counts : t -> int array
 (** A copy of the per-bucket counts; length [Array.length edges + 1],
     last entry the overflow bucket. *)

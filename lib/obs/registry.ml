@@ -41,45 +41,49 @@ let with_lock t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let find_or_create t name labels ~kind ~make =
+(* Locks by hand rather than through [with_lock], and [make] takes its
+   argument instead of closing over it, so a lookup of an existing
+   series allocates no closure — only its key when it has labels. *)
+let find_or_create t name labels ~make arg =
   let key = series_name name labels in
-  with_lock t (fun () ->
-      match Hashtbl.find_opt t.table key with
-      | Some m -> m
-      | None ->
-        ignore kind;
-        let m = make () in
-        Hashtbl.replace t.table key m;
-        m)
+  Mutex.lock t.lock;
+  match Hashtbl.find t.table key with
+  | m ->
+    Mutex.unlock t.lock;
+    m
+  | exception Not_found -> (
+    match make arg with
+    | m ->
+      Hashtbl.replace t.table key m;
+      Mutex.unlock t.lock;
+      m
+    | exception e ->
+      Mutex.unlock t.lock;
+      raise e)
 
 let mismatch key existing wanted =
   invalid_arg
     (Printf.sprintf "Registry: %s is already registered as a %s, not a %s" key
        (kind_name existing) wanted)
 
+let new_counter () = Counter (Counter.create ())
+let new_gauge () = Gauge (Gauge.create ())
+let new_histogram edges = Histogram (Histogram.create ~edges)
+
 let counter t ?(labels = []) name =
-  match
-    find_or_create t name labels ~kind:"counter" ~make:(fun () ->
-        Counter (Counter.create ()))
-  with
+  match find_or_create t name labels ~make:new_counter () with
   | Counter c -> c
   | other -> mismatch (series_name name labels) other "counter"
 
 let gauge t ?(labels = []) name =
-  match
-    find_or_create t name labels ~kind:"gauge" ~make:(fun () ->
-        Gauge (Gauge.create ()))
-  with
+  match find_or_create t name labels ~make:new_gauge () with
   | Gauge g -> g
   | other -> mismatch (series_name name labels) other "gauge"
 
 let histogram t ?(labels = []) ~edges name =
-  match
-    find_or_create t name labels ~kind:"histogram" ~make:(fun () ->
-        Histogram (Histogram.create ~edges))
-  with
+  match find_or_create t name labels ~make:new_histogram edges with
   | Histogram h ->
-    if Histogram.edges h <> edges then
+    if not (Histogram.has_edges h edges) then
       invalid_arg
         (Printf.sprintf
            "Registry: histogram %s is already registered with different bucket \

@@ -17,6 +17,7 @@ module Dynamics = Tivaware_measure.Dynamics
 module Engine = Tivaware_measure.Engine
 module Oracle = Tivaware_measure.Oracle
 module Probe_stats = Tivaware_measure.Probe_stats
+module Obs = Tivaware_obs
 module Sim = Tivaware_eventsim.Sim
 module Ring = Tivaware_meridian.Ring
 module Query = Tivaware_meridian.Query
@@ -166,7 +167,8 @@ let test_cache_evicts_lru_key () =
   done
 
 (* Model check against a reference table keyed on [(min i j, max i j)]
-   with an explicit recency list: random store / lookup / clock-advance
+   whose entries carry a recency stamp (the least-recent entry is the
+   one with the smallest): random store / lookup / clock-advance
    sequences over node indices up to 200k (the lazy backend memo's
    range), with and without a capacity.  Every lookup's code and value,
    every store's eviction count, [length] and [evictions] must agree
@@ -176,100 +178,180 @@ type cache_op =
   | Lookup of bool * int * int  (* [true] = through [find_code] *)
   | Advance of float
 
+let gen_cache_ops ~ttl ~pairs ~max_advance ~ops =
+  let open QCheck2.Gen in
+  let value = frequency [ (9, float_range 1. 500.); (1, pure nan) ] in
+  let op =
+    frequency
+      [
+        (3, map2 (fun (i, j) v -> Store (i, j, v)) pairs value);
+        (3, map2 (fun c (i, j) -> Lookup (c, i, j)) bool pairs);
+        (1, map (fun d -> Advance d) (float_range 0. (max_advance ttl)));
+      ]
+  in
+  list_size ops op
+
 let gen_cache_case =
   let open QCheck2.Gen in
   let* capacity = opt (int_range 1 12) in
   let* ttl = float_range 0.5 20. in
   let* pool = array_size (int_range 2 10) (int_range 0 199_999) in
   let node = map (fun k -> pool.(k)) (int_range 0 (Array.length pool - 1)) in
-  let value = frequency [ (9, float_range 1. 500.); (1, pure nan) ] in
-  let op =
-    frequency
-      [
-        (3, map3 (fun i j v -> Store (i, j, v)) node node value);
-        (3, map3 (fun c i j -> Lookup (c, i, j)) bool node node);
-        (1, map (fun d -> Advance d) (float_range 0. ttl));
-      ]
+  let+ ops =
+    gen_cache_ops ~ttl ~pairs:(pair node node) ~max_advance:Fun.id
+      ~ops:(int_range 1 300)
   in
-  let+ ops = list_size (int_range 1 300) op in
   (capacity, ttl, ops)
+
+(* The same model at the size of a serving world: hundreds of nodes,
+   thousands of operations over up to 3000 pairs.  The table grows
+   several times, and short advances keep hundreds of entries live, so
+   stale drops and evictions delete inside long (and wrapped) probe
+   runs.  Not shrunk: shrinking thousands of operations takes far
+   longer than reading the failing step off the report. *)
+let gen_cache_case_at_scale ~bounded =
+  let open QCheck2.Gen in
+  no_shrink
+  @@
+  let* capacity =
+    if bounded then map Option.some (int_range 16 1024) else pure None
+  in
+  let* ttl = float_range 0.5 20. in
+  let* pool = array_size (int_range 200 400) (int_range 0 199_999) in
+  let node = map (fun k -> pool.(k)) (int_range 0 (Array.length pool - 1)) in
+  let* known = array_size (int_range 500 3000) (pair node node) in
+  let pairs = map (fun k -> known.(k)) (int_range 0 (Array.length known - 1)) in
+  let+ ops =
+    gen_cache_ops ~ttl ~pairs
+      ~max_advance:(fun ttl -> ttl /. 40.)
+      ~ops:(int_range 2000 6000)
+  in
+  (capacity, ttl, ops)
+
+let check_cache_against_model (capacity, ttl, ops) =
+  let fail fmt = QCheck2.Test.fail_reportf fmt in
+  let c = Cache.create ?capacity ~ttl () in
+  (* key -> (value, measured at, recency stamp) *)
+  let model = Hashtbl.create 16 in
+  let clock = ref 0 in
+  let stamp () =
+    incr clock;
+    !clock
+  in
+  let evictions = ref 0 in
+  let now = ref 0. in
+  let buf = [| nan |] in
+  List.iteri
+    (fun step op ->
+      (match op with
+      | Advance d -> now := !now +. d
+      | Store (i, j, v) ->
+        let key = (min i j, max i j) in
+        let expected =
+          if Float.is_nan v then 0
+          else begin
+            let resident = Hashtbl.mem model key in
+            Hashtbl.replace model key (v, !now, stamp ());
+            match capacity with
+            | Some cap when (not resident) && Hashtbl.length model > cap ->
+              let lru, _ =
+                Hashtbl.fold
+                  (fun k (_, _, s) (lru, oldest) ->
+                    if s < oldest then (k, s) else (lru, oldest))
+                  model (key, max_int)
+              in
+              Hashtbl.remove model lru;
+              incr evictions;
+              1
+            | _ -> 0
+          end
+        in
+        let got = Cache.store c ~now:!now i j v in
+        if got <> expected then
+          fail "step %d: store (%d, %d) evicted %d, model %d" step i j got
+            expected
+      | Lookup (coded, i, j) ->
+        let key = (min i j, max i j) in
+        let expected =
+          match Hashtbl.find_opt model key with
+          | Some (v, t, _) when !now -. t <= ttl ->
+            Hashtbl.replace model key (v, t, stamp ());
+            Cache.Hit v
+          | Some _ ->
+            Hashtbl.remove model key;
+            Cache.Stale
+          | None -> Cache.Miss
+        in
+        let got =
+          if coded then begin
+            let code = Cache.find_code c ~now:!now ~into:buf i j in
+            if code = Cache.code_hit then Cache.Hit buf.(0)
+            else if code = Cache.code_stale then Cache.Stale
+            else Cache.Miss
+          end
+          else Cache.find c ~now:!now i j
+        in
+        if got <> expected then
+          fail "step %d: lookup (%d, %d) disagrees with the model" step i j);
+      if Cache.length c <> Hashtbl.length model then
+        fail "step %d: length %d, model %d" step (Cache.length c)
+          (Hashtbl.length model);
+      if Cache.evictions c <> !evictions then
+        fail "step %d: evictions %d, model %d" step (Cache.evictions c)
+          !evictions)
+    ops;
+  true
 
 let prop_cache_matches_model =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:300 ~name:"cache = reference model"
-       gen_cache_case (fun (capacity, ttl, ops) ->
-         let fail fmt = QCheck2.Test.fail_reportf fmt in
-         let c = Cache.create ?capacity ~ttl () in
-         let model = Hashtbl.create 16 in
-         (* recency, most recent first *)
-         let order = ref [] in
-         let use key = order := key :: List.filter (( <> ) key) !order in
-         let evictions = ref 0 in
-         let now = ref 0. in
-         let buf = [| nan |] in
-         List.iteri
-           (fun step op ->
-             (match op with
-             | Advance d -> now := !now +. d
-             | Store (i, j, v) ->
-               let key = (min i j, max i j) in
-               let expected =
-                 if Float.is_nan v then 0
-                 else begin
-                   let resident = Hashtbl.mem model key in
-                   Hashtbl.replace model key (v, !now);
-                   use key;
-                   match capacity with
-                   | Some cap when (not resident) && Hashtbl.length model > cap ->
-                     let lru = List.nth !order (List.length !order - 1) in
-                     order := List.filter (( <> ) lru) !order;
-                     Hashtbl.remove model lru;
-                     incr evictions;
-                     1
-                   | _ -> 0
-                 end
-               in
-               let got = Cache.store c ~now:!now i j v in
-               if got <> expected then
-                 fail "step %d: store (%d, %d) evicted %d, model %d" step i j got
-                   expected
-             | Lookup (coded, i, j) ->
-               let key = (min i j, max i j) in
-               let expected =
-                 match Hashtbl.find_opt model key with
-                 | Some (v, t) when !now -. t <= ttl ->
-                   use key;
-                   Cache.Hit v
-                 | Some _ ->
-                   Hashtbl.remove model key;
-                   order := List.filter (( <> ) key) !order;
-                   Cache.Stale
-                 | None -> Cache.Miss
-               in
-               let got =
-                 if coded then begin
-                   let code = Cache.find_code c ~now:!now ~into:buf i j in
-                   if code = Cache.code_hit then Cache.Hit buf.(0)
-                   else if code = Cache.code_stale then Cache.Stale
-                   else Cache.Miss
-                 end
-                 else Cache.find c ~now:!now i j
-               in
-               if got <> expected then
-                 fail "step %d: lookup (%d, %d) disagrees with the model" step i j);
-             if Cache.length c <> Hashtbl.length model then
-               fail "step %d: length %d, model %d" step (Cache.length c)
-                 (Hashtbl.length model);
-             if Cache.evictions c <> !evictions then
-               fail "step %d: evictions %d, model %d" step (Cache.evictions c)
-                 !evictions)
-           ops;
-         true))
+       gen_cache_case check_cache_against_model)
+
+let prop_cache_matches_model_at_scale ~bounded =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:25
+       ~name:
+         (if bounded then "cache = reference model at scale, bounded"
+          else "cache = reference model at scale")
+       (gen_cache_case_at_scale ~bounded)
+       check_cache_against_model)
+
+(* A stale drop at the head of a probe run that wraps past the last
+   slot: every later member of the run must still be found with its
+   own value.  The pairs are picked to share the last two home slots of
+   a fresh table (whose size is a power of two of at least 64), so the
+   run crosses the wrap whatever that size is. *)
+let test_cache_wrapped_run_delete () =
+  let mask = 63 in
+  let homes = ref [] in
+  let j = ref 1 in
+  while List.length !homes < 6 do
+    if Cache.hash_pair 0 !j land mask >= mask - 1 then homes := !j :: !homes;
+    incr j
+  done;
+  let first, rest =
+    match List.rev !homes with
+    | first :: rest -> (first, rest)
+    | [] -> assert false
+  in
+  let c = Cache.create ~ttl:3. () in
+  ignore (Cache.store c ~now:0. 0 first 1. : int);
+  List.iter (fun j -> ignore (Cache.store c ~now:2. 0 j (float_of_int j) : int)) rest;
+  checkb "head of the run is stale" true (Cache.find c ~now:4. 0 first = Cache.Stale);
+  checki "one entry dropped" (List.length rest) (Cache.length c);
+  List.iter
+    (fun j ->
+      checkb
+        (Printf.sprintf "pair (0, %d) still hits" j)
+        true
+        (Cache.find c ~now:4. 0 j = Cache.Hit (float_of_int j)))
+    rest;
+  checkb "dropped pair misses" true (Cache.find c ~now:4. 0 first = Cache.Miss)
 
 (* The table hashes every pair of a 400-node world apart: the
    polymorphic hash of the packed key gave these 79,800 pairs 1,021
-   distinct values.  At the 65,536 buckets the table grows to for them,
-   no chain may be far beyond a random hash's. *)
+   distinct values.  Split 65,536 ways, no bucket may hold far more
+   than a random hash's. *)
 let test_cache_hash_spread () =
   let n = 400 in
   let distinct = Hashtbl.create 100_000 in
@@ -447,6 +529,102 @@ let test_engine_no_loss_single_attempt () =
     checki "one attempt per request" requests st.Probe_stats.issued;
     checki "no retries without loss" 0 st.Probe_stats.retried
   done
+
+(* Labels that switch on every few probes, including strings equal to
+   a label but not physically the same, must be attributed exactly as
+   a model that keys on label contents: per-label issue counts (which
+   reset with [reset_stats]), the per-plane [measure.probes.sent] and
+   [measure.probe_ms] series (which do not), and snapshots (which stay
+   frozen).  Every reset falls between two issuing probes under one
+   label string, so a label memo the reset left behind would be hit. *)
+let test_engine_alternating_labels () =
+  let g = rng 21 in
+  let n = 30 in
+  let m = random_matrix ~missing:0.05 g ~n in
+  let config =
+    {
+      Engine.default_config with
+      Engine.fault = { Fault.default with Fault.loss = 0.3; retries = 2 };
+      cache_ttl = Some 2.;
+      charge_time = true;
+      seed = Rng.int g 10_000;
+    }
+  in
+  let e = Engine.of_matrix ~config m in
+  let copy s = String.init (String.length s) (String.get s) in
+  let names = [ "alert"; "meridian"; "vivaldi" ] in
+  let labels =
+    [| Some "vivaldi"; Some "meridian"; None; Some (copy "vivaldi");
+       Some "alert"; Some (copy "meridian") |]
+  in
+  let issued = Hashtbl.create 8 in
+  let sent = Hashtbl.create 8 and probe_ms = Hashtbl.create 8 in
+  let bump tbl l d =
+    Hashtbl.replace tbl l (d +. Option.value ~default:0. (Hashtbl.find_opt tbl l))
+  in
+  let model_labels () =
+    List.filter_map
+      (fun l ->
+        Option.map (fun c -> (l, int_of_float c)) (Hashtbl.find_opt issued l))
+      names
+  in
+  let series name l =
+    Obs.Counter.value
+      (Obs.Registry.counter (Engine.obs e) ~labels:[ ("plane", l) ] name)
+  in
+  let st = Engine.stats e in
+  let check step =
+    Alcotest.(check (list (pair string int)))
+      (Printf.sprintf "step %d: per-label counts" step)
+      (model_labels ()) (Probe_stats.labels st);
+    List.iter
+      (fun l ->
+        let want tbl = Option.value ~default:0. (Hashtbl.find_opt tbl l) in
+        checkb
+          (Printf.sprintf "step %d: %s probes.sent" step l)
+          true
+          (series "measure.probes.sent" l = want sent);
+        checkb
+          (Printf.sprintf "step %d: %s probe_ms" step l)
+          true
+          (series "measure.probe_ms" l = want probe_ms))
+      names
+  in
+  let probe label =
+    let before = st.Probe_stats.issued in
+    let i, j = random_pair g n in
+    let _, cost = Engine.rtt_timed ?label e i j in
+    let d = float_of_int (st.Probe_stats.issued - before) in
+    Option.iter
+      (fun l ->
+        if d > 0. then bump issued l d;
+        bump sent l d;
+        if cost > 0. then bump probe_ms l cost)
+      label
+  in
+  let snap = ref None in
+  for step = 1 to 3000 do
+    (* Runs of one to three probes per label, then a switch. *)
+    let label = labels.(step / (1 + (step mod 3)) mod Array.length labels) in
+    probe label;
+    if step mod 100 = 0 then check step;
+    if step = 1000 then snap := Some (Probe_stats.snapshot st, model_labels ());
+    if step mod 700 = 0 then begin
+      let l = Some "vivaldi" in
+      probe l;
+      Engine.reset_stats e;
+      Hashtbl.reset issued;
+      (* Past the TTL, so the next probe issues at least one attempt. *)
+      Engine.advance e 10.;
+      probe l;
+      check step
+    end
+  done;
+  match !snap with
+  | Some (snap, frozen) ->
+    Alcotest.(check (list (pair string int)))
+      "snapshot frozen" frozen (Probe_stats.labels snap)
+  | None -> assert false
 
 (* ------------------------------------------------------------------ *)
 (* Oracle-mode equivalence                                              *)
@@ -1454,6 +1632,10 @@ let () =
             test_cache_eviction_counter_identity;
           Alcotest.test_case "evicts the lru key" `Quick test_cache_evicts_lru_key;
           prop_cache_matches_model;
+          prop_cache_matches_model_at_scale ~bounded:false;
+          prop_cache_matches_model_at_scale ~bounded:true;
+          Alcotest.test_case "stale drop inside a wrapped probe run" `Quick
+            test_cache_wrapped_run_delete;
           Alcotest.test_case "key hash spread" `Quick test_cache_hash_spread;
         ] );
       ( "budget",
@@ -1470,6 +1652,8 @@ let () =
           Alcotest.test_case "cache identities" `Quick test_engine_cache_accounting;
           Alcotest.test_case "no loss, one attempt" `Quick
             test_engine_no_loss_single_attempt;
+          Alcotest.test_case "alternating labels stay exact" `Quick
+            test_engine_alternating_labels;
         ] );
       ( "oracle-mode",
         [

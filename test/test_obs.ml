@@ -125,8 +125,21 @@ let test_shape_guards () =
   Alcotest.(check bool) "kind change rejected" true
     (raises_invalid (fun () -> Registry.gauge reg "m"));
   ignore (Registry.histogram reg ~edges:[| 1.; 2. |] "h");
-  Alcotest.(check bool) "edge change rejected" true
-    (raises_invalid (fun () -> Registry.histogram reg ~edges:[| 1.; 3. |] "h"));
+  Alcotest.check_raises "edge change rejected"
+    (Invalid_argument
+       "Registry: histogram h{plane=x} is already registered with different \
+        bucket edges") (fun () ->
+      ignore (Registry.histogram reg ~labels:[ ("plane", "x") ] ~edges:[| 1.; 2. |] "h");
+      ignore (Registry.histogram reg ~labels:[ ("plane", "x") ] ~edges:[| 1.; 3. |] "h"));
+  Alcotest.(check bool) "edge count change rejected" true
+    (raises_invalid (fun () -> Registry.histogram reg ~edges:[| 1.; 2.; 3. |] "h"));
+  Alcotest.(check bool) "equal edges, same histogram" true
+    (Registry.histogram reg ~edges:(Array.map Fun.id [| 1.; 2. |]) "h"
+    == Registry.histogram reg ~edges:[| 1.; 2. |] "h");
+  (* A failed creation releases the registry's lock. *)
+  Alcotest.(check bool) "bad edges rejected" true
+    (raises_invalid (fun () -> Registry.histogram reg ~edges:[||] "bad"));
+  ignore (Registry.counter reg "after");
   (* Find-or-create: the same instrument comes back. *)
   let c = Registry.counter reg "m" in
   Counter.incr c;
