@@ -112,11 +112,26 @@ let measure_tests m =
       Engine.advance serve_engine serve_dt
     done
   done;
+  (* The bare probe path at the embed workload's scale: a fresh random
+     pair of 100k nodes per run, so whatever per-link state a probe
+     writes is spread over billions of links and stays out of cache.
+     On 200 nodes ([probe-oracle]) such state stays hot and hides its
+     cost. *)
+  let wide_n = 100_000 in
+  let wide_engine =
+    Engine.create
+      (Oracle.of_fn ~size:wide_n (fun i j ->
+           float_of_int (1 + ((i + j) land 255))))
+  in
   let rng = Rng.create 7 in
   [
     Test.make ~name:"measure/probe-oracle"
       (Staged.stage (fun () ->
            ignore (Engine.rtt oracle_engine (Rng.int rng 200) (Rng.int rng 200))));
+    Test.make ~name:"measure/probe-oracle-100k"
+      (Staged.stage (fun () ->
+           ignore
+             (Engine.rtt wide_engine (Rng.int rng wide_n) (Rng.int rng wide_n))));
     (* What every protocol's probe pays: a plane label is attributed
        per issued attempt. *)
     Test.make ~name:"measure/probe-labelled"

@@ -67,6 +67,12 @@ type t = {
   budget : Budget.t option;
   cache : Cache.t option;
   stats : Probe_stats.t;
+  (* Whether wire outcomes feed the fault injector's loss estimators.
+     Only the [Adaptive] retry policy reads them; under [Fixed] and
+     [Backoff] the per-link table would grow with every probed link
+     (4M slots for a 100k-node embedding) and nothing would consult
+     it. *)
+  record_loss : bool;
   obs : Obs.Registry.t;
   inst : instruments;
   (* Hot-path scratch: slot 0 the last probe's value, slot 1 its
@@ -221,6 +227,10 @@ let create ?(config = default_config) oracle =
         (fun ttl -> Cache.create ?capacity:config.cache_capacity ~ttl ())
         config.cache_ttl;
     stats = Probe_stats.create ();
+    record_loss =
+      (match config.fault.Fault.policy with
+      | Fault.Adaptive _ -> true
+      | Fault.Fixed | Fault.Backoff _ -> false);
     obs;
     inst = make_instruments obs;
     scratch = Array.make 2 nan;
@@ -334,7 +344,7 @@ let rec probe_attempt t label i j ~endpoint_down ~retries ~timeout k =
     if endpoint_down then begin
       st.Probe_stats.lost <- st.Probe_stats.lost + 1;
       Obs.Counter.incr inst.i_lost;
-      Fault.record_outcome t.fault i j ~lost:true;
+      if t.record_loss then Fault.record_outcome t.fault i j ~lost:true;
       s.(1) <- s.(1) +. timeout;
       if k < retries then
         probe_attempt t label i j ~endpoint_down ~retries ~timeout (k + 1)
@@ -351,13 +361,13 @@ let rec probe_attempt t label i j ~endpoint_down ~retries ~timeout k =
         Obs.Counter.incr inst.i_unmeasured;
         (* Indistinguishable from loss at the prober: it waits the
            timeout and its loss estimate takes the hit. *)
-        Fault.record_outcome t.fault i j ~lost:true;
+        if t.record_loss then Fault.record_outcome t.fault i j ~lost:true;
         s.(1) <- s.(1) +. timeout;
         code_unmeasured
       end
       else if Fault.attempt_into t.fault i j ~rtt:true_rtt ~into:s then begin
         let sample = s.(0) in
-        Fault.record_outcome t.fault i j ~lost:false;
+        if t.record_loss then Fault.record_outcome t.fault i j ~lost:false;
         s.(1) <- s.(1) +. sample;
         Obs.Histogram.observe inst.i_rtt_ms sample;
         (match t.cache with
@@ -371,7 +381,7 @@ let rec probe_attempt t label i j ~endpoint_down ~retries ~timeout k =
       else begin
         st.Probe_stats.lost <- st.Probe_stats.lost + 1;
         Obs.Counter.incr inst.i_lost;
-        Fault.record_outcome t.fault i j ~lost:true;
+        if t.record_loss then Fault.record_outcome t.fault i j ~lost:true;
         s.(1) <- s.(1) +. timeout;
         if k < retries then
           probe_attempt t label i j ~endpoint_down ~retries ~timeout (k + 1)

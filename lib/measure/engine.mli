@@ -92,7 +92,15 @@ val matrix_exn : t -> Tivaware_delay_space.Matrix.t
     code); raises [Invalid_argument] otherwise. *)
 
 val fault : t -> Fault.t
-(** The live fault injector (scenario hooks: {!Fault.set_down}). *)
+(** The live fault injector (scenario hooks: {!Fault.set_down}).
+
+    What the engine records into it depends on the retry policy.  Under
+    [Adaptive], every wire attempt's outcome (delivered, lost, burned
+    against a down endpoint, or unmeasured) feeds
+    {!Fault.record_outcome}, because {!Fault.retry_budget} sizes each
+    request from those estimates.  Under [Fixed] and [Backoff] nothing
+    reads them, so the engine records nothing: {!Fault.estimated_loss}
+    reads 0 on every link and no per-link table is built. *)
 
 val churn : t -> Churn.t option
 (** The live churn model, when the config enables one.  Its schedule is

@@ -31,8 +31,12 @@ type t = {
   backend : Backend.t;  (* ground truth, for evaluation only *)
   engine : Engine.t;  (* every observation probes through here *)
   rng : Rng.t;
-  coords : Vec.t array;
-  errors : float array;
+  (* Every node's state in one unboxed array, node [i] at
+     [i * stride]: [dim] coordinates, the height when [config.height],
+     then the local error estimate.  An update reads and writes two
+     runs of adjacent floats, with no per-node block to chase. *)
+  stride : int;
+  state : float array;
   neighbor_sets : int array array;
   mutable movement : Welford.t;
   mutable rounds : int;
@@ -44,39 +48,58 @@ let random_neighbors rng n self count =
   (* Indices in [0, n-1) skipping self. *)
   Array.map (fun p -> if p >= self then p + 1 else p) picks
 
+(* With heights every node carries one slot past its coordinates (the
+   height, kept >= min_height). *)
+let storage_dim config = config.dim + if config.height then 1 else 0
+
+(* The error estimate of the node whose state starts at offset [o]. *)
+let[@inline] error_slot t o = o + t.stride - 1
+
+(* Small random initial coordinates break symmetry without starting far
+   from the origin; the error estimate starts at 1. *)
+let reset_node t i =
+  let o = i * t.stride and dim = t.config.dim in
+  let s = t.state in
+  for d = 0 to storage_dim t.config - 1 do
+    s.(o + d) <- Rng.uniform t.rng (-1.) 1.
+  done;
+  if t.config.height then s.(o + dim) <- Rng.uniform t.rng min_height 1.;
+  s.(error_slot t o) <- 1.
+
 let create_with_engine ?(config = default_config) rng engine =
   let backend = Backend.of_engine engine in
   let n = Backend.size backend in
   assert (n >= 2);
   let rng = Rng.split rng in
-  (* With heights the coordinate array carries one extra slot (the
-     height, kept >= min_height). *)
-  let storage_dim = config.dim + if config.height then 1 else 0 in
-  let initial _ =
-    let v = Array.init storage_dim (fun _ -> Rng.uniform rng (-1.) 1.) in
-    if config.height then v.(config.dim) <- Rng.uniform rng min_height 1.;
-    v
+  (* Neighbor sets draw first, then every node's initial state, in node
+     order: the order the generator has always been consumed in. *)
+  let neighbor_sets =
+    Array.init n (fun i -> random_neighbors rng n i config.neighbors_per_node)
   in
-  {
-    config;
-    backend;
-    engine;
-    rng;
-    (* Small random initial coordinates break symmetry without starting
-       far from the origin. *)
-    coords = Array.init n initial;
-    errors = Array.make n 1.;
-    neighbor_sets =
-      Array.init n (fun i -> random_neighbors rng n i config.neighbors_per_node);
-    movement = Welford.create ();
-    rounds = 0;
-  }
+  let stride = storage_dim config + 1 in
+  let t =
+    {
+      config;
+      backend;
+      engine;
+      rng;
+      stride;
+      state = Array.make (n * stride) 0.;
+      neighbor_sets;
+      movement = Welford.create ();
+      rounds = 0;
+    }
+  in
+  for i = 0 to n - 1 do
+    reset_node t i
+  done;
+  t
 
 let create ?config rng matrix =
   create_with_engine ?config rng (Engine.of_matrix matrix)
 
 let config t = t.config
-let size t = Array.length t.coords
+let size t = Array.length t.neighbor_sets
 let backend t = t.backend
 
 let matrix t =
@@ -86,24 +109,28 @@ let matrix t =
 
 let engine t = t.engine
 let rng t = t.rng
-let coord t i = Vec.copy t.coords.(i)
-let error_estimate t i = t.errors.(i)
+let coord t i = Array.sub t.state (i * t.stride) (t.stride - 1)
+let error_estimate t i = t.state.(error_slot t (i * t.stride))
 
-(* Distance over the euclidean part only (ignores the height slot). *)
-let euclidean_part_dist t xi xj =
+(* Distance between the nodes at offsets [oi] and [oj] over the
+   euclidean part only (ignores the height slot).  Without heights this
+   is the whole coordinate, summed in [Vec.dist]'s order. *)
+let[@inline] euclidean_part_dist t oi oj =
+  let s = t.state in
   let acc = ref 0. in
   for d = 0 to t.config.dim - 1 do
-    let diff = xi.(d) -. xj.(d) in
+    let diff = s.(oi + d) -. s.(oj + d) in
     acc := !acc +. (diff *. diff)
   done;
   sqrt !acc
 
-let distance t xi xj =
+let[@inline] distance t oi oj =
   if t.config.height then
-    euclidean_part_dist t xi xj +. xi.(t.config.dim) +. xj.(t.config.dim)
-  else Vec.dist xi xj
+    let dim = t.config.dim in
+    euclidean_part_dist t oi oj +. t.state.(oi + dim) +. t.state.(oj + dim)
+  else euclidean_part_dist t oi oj
 
-let predicted t i j = distance t t.coords.(i) t.coords.(j)
+let predicted t i j = distance t (i * t.stride) (j * t.stride)
 
 let prediction_ratio t i j =
   let d = Backend.query t.backend i j in
@@ -114,6 +141,14 @@ let neighbors t i = Array.copy t.neighbor_sets.(i)
 let set_neighbors t i ns =
   if Array.exists (fun j -> j = i) ns then
     invalid_arg "System.set_neighbors: self-loop";
+  Array.iter
+    (fun j ->
+      if j < 0 || j >= size t then
+        invalid_arg
+          (Printf.sprintf
+             "System.set_neighbors: neighbor %d of node %d is outside [0, %d)" j
+             i (size t)))
+    ns;
   t.neighbor_sets.(i) <- Array.copy ns
 
 let neighbor_edges t =
@@ -130,59 +165,55 @@ let neighbor_edges t =
 
 let observe_rtt t i j rtt =
   if not (Float.is_nan rtt) then begin
-    let xi = t.coords.(i) and xj = t.coords.(j) in
+    let s = t.state in
+    let oi = i * t.stride and oj = j * t.stride in
     let dim = t.config.dim in
-    let dist = distance t xi xj in
+    let dist = distance t oi oj in
     let delta =
       match t.config.timestep with
       | Constant d -> d
       | Adaptive { cc; ce } ->
-        let ei = t.errors.(i) and ej = t.errors.(j) in
+        let ei_slot = error_slot t oi in
+        let ei = s.(ei_slot) and ej = s.(error_slot t oj) in
         let w = if ei +. ej < 1e-12 then 0.5 else ei /. (ei +. ej) in
         (* Update the local error estimate with the sample error. *)
         let sample_error = if rtt < 1e-9 then 0. else abs_float (dist -. rtt) /. rtt in
-        t.errors.(i) <- (sample_error *. ce *. w) +. (t.errors.(i) *. (1. -. (ce *. w)));
+        s.(ei_slot) <- (sample_error *. ce *. w) +. (s.(ei_slot) *. (1. -. (ce *. w)));
         cc *. w
     in
     let force = delta *. (rtt -. dist) in
     (* Euclidean part: move along the unit vector from j toward i. *)
-    let eu = euclidean_part_dist t xi xj in
+    let eu = euclidean_part_dist t oi oj in
     let moved = ref 0. in
     if eu > 1e-12 then
       for d = 0 to dim - 1 do
-        let u = (xi.(d) -. xj.(d)) /. eu in
+        let u = (s.(oi + d) -. s.(oj + d)) /. eu in
         let step = force *. u in
-        xi.(d) <- xi.(d) +. step;
+        s.(oi + d) <- s.(oi + d) +. step;
         moved := !moved +. (step *. step)
       done
     else begin
       let u = Vec.random_unit t.rng dim in
       for d = 0 to dim - 1 do
         let step = force *. u.(d) in
-        xi.(d) <- xi.(d) +. step;
+        s.(oi + d) <- s.(oi + d) +. step;
         moved := !moved +. (step *. step)
       done
     end;
     (* Height part: the [x, h] unit vector's height component is
        (h_i + h_j) / dist (Dabek et al.), with the height floored. *)
     if t.config.height && dist > 1e-12 then begin
-      let h_component = (xi.(dim) +. xj.(dim)) /. dist in
-      let old_h = xi.(dim) in
-      xi.(dim) <- Float.max min_height (xi.(dim) +. (force *. h_component));
-      let dh = xi.(dim) -. old_h in
+      let hi = oi + dim in
+      let h_component = (s.(hi) +. s.(oj + dim)) /. dist in
+      let old_h = s.(hi) in
+      s.(hi) <- Float.max min_height (s.(hi) +. (force *. h_component));
+      let dh = s.(hi) -. old_h in
       moved := !moved +. (dh *. dh)
     end;
     Welford.add t.movement (sqrt !moved)
   end
 
 let observe t i j = observe_rtt t i j (Engine.rtt ~label:"vivaldi" t.engine i j)
-
-let reset_node t i =
-  let storage_dim = t.config.dim + if t.config.height then 1 else 0 in
-  let v = Array.init storage_dim (fun _ -> Rng.uniform t.rng (-1.) 1.) in
-  if t.config.height then v.(t.config.dim) <- Rng.uniform t.rng min_height 1.;
-  t.coords.(i) <- v;
-  t.errors.(i) <- 1.
 
 let round t =
   let n = size t in

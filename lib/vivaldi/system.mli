@@ -84,7 +84,9 @@ val neighbors : t -> int -> int array
 
 val set_neighbors : t -> int -> int array -> unit
 (** Replaces a node's probing neighbors (used by dynamic-neighbor
-    Vivaldi).  Self-loops are rejected with [Invalid_argument]. *)
+    Vivaldi).  Self-loops and ids outside [[0, size)] are rejected with
+    [Invalid_argument], whose message names the offending id; the old
+    set is then kept. *)
 
 val neighbor_edges : t -> (int * int) list
 (** All (node, neighbor) pairs, normalized to [i < j], deduplicated. *)

@@ -640,6 +640,52 @@ let test_adaptive_beats_fixed_retry_cost () =
     true
     (adaptive_success >= fixed_success -. 0.04)
 
+(* Wire outcomes feed the loss estimators only under the policy that
+   reads them.  The probe sequence reaches all four recording sites:
+   delivered and lost attempts, attempts burned against a down node,
+   and an unmeasured pair. *)
+let test_loss_recorded_only_under_adaptive () =
+  let m = euclidean_matrix 41 8 in
+  Matrix.set m 0 5 nan;
+  let links = [ (0, 1); (0, 2); (0, 3); (2, 1); (0, 5); (0, 6) ] in
+  let run policy =
+    let e =
+      engine
+        ~fault:{ Fault.default with Fault.loss = 0.3; retries = 2; policy }
+        ~seed:42 m
+    in
+    Fault.set_down (Engine.fault e) 6 true;
+    for _ = 1 to 40 do
+      List.iter (fun (i, j) -> ignore (Engine.rtt e i j)) links
+    done;
+    let st = Engine.stats e in
+    Alcotest.(check bool) "attempts were lost" true (st.Probe_stats.lost > 0);
+    Alcotest.(check bool) "attempts were delivered" true
+      (st.Probe_stats.issued > st.Probe_stats.lost);
+    Alcotest.(check bool) "a node was down" true (st.Probe_stats.down > 0);
+    Alcotest.(check bool) "a pair was unmeasured" true
+      (st.Probe_stats.unmeasured > 0);
+    e
+  in
+  List.iter
+    (fun (name, policy) ->
+      let e = run policy in
+      List.iter
+        (fun (i, j) ->
+          checkf
+            (Printf.sprintf "%s: nothing recorded for %d -> %d" name i j)
+            0.
+            (Fault.estimated_loss (Engine.fault e) i j))
+        links)
+    [ ("fixed", Fault.Fixed); ("backoff", Fault.Backoff Fault.default_backoff) ];
+  let e = run (Fault.adaptive ~target_failure:0.01 ()) in
+  let f = Engine.fault e in
+  Alcotest.(check bool) "adaptive: lossy link estimated lossy" true
+    (Fault.estimated_loss f 0 1 > 0.01);
+  checki "adaptive: lossy link gets its retries" 2 (Fault.retry_budget f 0 1);
+  Alcotest.(check bool) "adaptive: requests were retried" true
+    ((Engine.stats e).Probe_stats.retried > 0)
+
 (* ------------------------------------------------------------------ *)
 (* Config validation                                                   *)
 
@@ -761,6 +807,8 @@ let () =
             test_online_loss_inflates_simulator_time;
           Alcotest.test_case "adaptive beats fixed retry" `Quick
             test_adaptive_beats_fixed_retry_cost;
+          Alcotest.test_case "loss recorded only under adaptive" `Quick
+            test_loss_recorded_only_under_adaptive;
         ] );
       ( "validation",
         [

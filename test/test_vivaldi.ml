@@ -91,7 +91,21 @@ let test_set_neighbors_validation () =
     (Invalid_argument "System.set_neighbors: self-loop") (fun () ->
       System.set_neighbors s 3 [| 3 |]);
   System.set_neighbors s 3 [| 1; 2 |];
-  Alcotest.(check (array int)) "updated" [| 1; 2 |] (System.neighbors s 3)
+  Alcotest.(check (array int)) "updated" [| 1; 2 |] (System.neighbors s 3);
+  (* An id outside [0, n) is refused where it is given, not left for the
+     next round to trip over inside the engine. *)
+  Alcotest.check_raises "id = n"
+    (Invalid_argument
+       "System.set_neighbors: neighbor 10 of node 3 is outside [0, 10)")
+    (fun () -> System.set_neighbors s 3 [| 1; 10 |]);
+  Alcotest.check_raises "negative id"
+    (Invalid_argument
+       "System.set_neighbors: neighbor -1 of node 3 is outside [0, 10)")
+    (fun () -> System.set_neighbors s 3 [| -1 |]);
+  Alcotest.(check (array int)) "rejected sets keep the old one" [| 1; 2 |]
+    (System.neighbors s 3);
+  System.run s ~rounds:3;
+  Alcotest.(check int) "rounds still run" 3 (System.rounds_elapsed s)
 
 let test_neighbor_edges_dedupe () =
   let m = euclidean_matrix 14 4 in
@@ -394,6 +408,268 @@ let test_dynamic_reduces_neighbor_severity () =
     (Printf.sprintf "severity reduced (%.4f -> %.4f)" before after)
     true (after < before)
 
+(* Reference model for the flat node-state layout: the system as it
+   was when every node owned a [Vec.t] coordinate (the height in its
+   last slot) and the error estimates sat in a separate array.  It
+   consumes the generator exactly as [System] does, so random
+   sequences of [observe_rtt], [reset_node], [set_neighbors] and
+   [round] must leave both with bit-identical coordinates, error
+   estimates, predictions and movement statistics. *)
+module Model = struct
+  type t = {
+    config : System.config;
+    m : Matrix.t;
+    rng : Rng.t;
+    coords : Vec.t array;
+    errors : float array;
+    neighbor_sets : int array array;
+    movement : Welford.t;
+  }
+
+  let min_height = 0.1
+
+  let initial config rng =
+    let storage_dim = config.System.dim + if config.System.height then 1 else 0 in
+    let v = Array.init storage_dim (fun _ -> Rng.uniform rng (-1.) 1.) in
+    if config.System.height then
+      v.(config.System.dim) <- Rng.uniform rng min_height 1.;
+    v
+
+  (* [System.create]'s draws: the split, every neighbor set, then every
+     node's initial coordinate. *)
+  let create config seed m =
+    let n = Matrix.size m in
+    let rng = Rng.split (Rng.create seed) in
+    let neighbor_sets =
+      Array.init n (fun i ->
+          let want = min config.System.neighbors_per_node (n - 1) in
+          let picks = Rng.sample_indices rng ~n:(n - 1) ~k:want in
+          Array.map (fun p -> if p >= i then p + 1 else p) picks)
+    in
+    let coords = Array.init n (fun _ -> initial config rng) in
+    {
+      config;
+      m;
+      rng;
+      coords;
+      errors = Array.make n 1.;
+      neighbor_sets;
+      movement = Welford.create ();
+    }
+
+  let euclidean_part_dist t xi xj =
+    let acc = ref 0. in
+    for d = 0 to t.config.System.dim - 1 do
+      let diff = xi.(d) -. xj.(d) in
+      acc := !acc +. (diff *. diff)
+    done;
+    sqrt !acc
+
+  let distance t xi xj =
+    if t.config.System.height then
+      euclidean_part_dist t xi xj +. xi.(t.config.System.dim)
+      +. xj.(t.config.System.dim)
+    else Vec.dist xi xj
+
+  let predicted t i j = distance t t.coords.(i) t.coords.(j)
+
+  let observe_rtt t i j rtt =
+    if not (Float.is_nan rtt) then begin
+      let xi = t.coords.(i) and xj = t.coords.(j) in
+      let dim = t.config.System.dim in
+      let dist = distance t xi xj in
+      let delta =
+        match t.config.System.timestep with
+        | System.Constant d -> d
+        | System.Adaptive { cc; ce } ->
+          let ei = t.errors.(i) and ej = t.errors.(j) in
+          let w = if ei +. ej < 1e-12 then 0.5 else ei /. (ei +. ej) in
+          let sample_error =
+            if rtt < 1e-9 then 0. else abs_float (dist -. rtt) /. rtt
+          in
+          t.errors.(i) <-
+            (sample_error *. ce *. w) +. (t.errors.(i) *. (1. -. (ce *. w)));
+          cc *. w
+      in
+      let force = delta *. (rtt -. dist) in
+      let eu = euclidean_part_dist t xi xj in
+      let moved = ref 0. in
+      if eu > 1e-12 then
+        for d = 0 to dim - 1 do
+          let u = (xi.(d) -. xj.(d)) /. eu in
+          let step = force *. u in
+          xi.(d) <- xi.(d) +. step;
+          moved := !moved +. (step *. step)
+        done
+      else begin
+        let u = Vec.random_unit t.rng dim in
+        for d = 0 to dim - 1 do
+          let step = force *. u.(d) in
+          xi.(d) <- xi.(d) +. step;
+          moved := !moved +. (step *. step)
+        done
+      end;
+      if t.config.System.height && dist > 1e-12 then begin
+        let h_component = (xi.(dim) +. xj.(dim)) /. dist in
+        let old_h = xi.(dim) in
+        xi.(dim) <- Float.max min_height (xi.(dim) +. (force *. h_component));
+        let dh = xi.(dim) -. old_h in
+        moved := !moved +. (dh *. dh)
+      end;
+      Welford.add t.movement (sqrt !moved)
+    end
+
+  let reset_node t i =
+    t.coords.(i) <- initial t.config t.rng;
+    t.errors.(i) <- 1.
+
+  (* An oracle-mode engine answers exactly [Matrix.get]. *)
+  let round t =
+    let order = Rng.permutation t.rng (Array.length t.coords) in
+    Array.iter
+      (fun i ->
+        let ns = t.neighbor_sets.(i) in
+        if Array.length ns > 0 then begin
+          let j = Rng.choice t.rng ns in
+          observe_rtt t i j (Matrix.get t.m i j)
+        end)
+      order
+end
+
+type vivaldi_op =
+  | Observe of int * int * float
+  | Reset of int
+  | Set_neighbors of int * int array
+  | Round
+
+let pp_vivaldi_op = function
+  | Observe (i, j, rtt) -> Printf.sprintf "observe_rtt %d %d %h" i j rtt
+  | Reset i -> Printf.sprintf "reset_node %d" i
+  | Set_neighbors (i, ns) ->
+    Printf.sprintf "set_neighbors %d [%s]" i
+      (String.concat ";" (Array.to_list (Array.map string_of_int ns)))
+  | Round -> "round"
+
+let gen_vivaldi_case =
+  let open QCheck2.Gen in
+  let* dim = int_range 2 6 in
+  let* height = bool in
+  let* timestep =
+    oneof
+      [
+        map (fun d -> System.Constant d) (float_range 0.01 0.5);
+        map2
+          (fun cc ce -> System.Adaptive { cc; ce })
+          (float_range 0.05 0.5) (float_range 0.05 0.5);
+      ]
+  in
+  let* n = int_range 2 10 in
+  let* neighbors_per_node = int_range 1 6 in
+  let* seed = int_range 0 10_000 in
+  let node = int_range 0 (n - 1) in
+  (* Zero, sub-1e-9 and nan samples reach the special cases; [i = j]
+     (a zero euclidean distance) draws a random unit direction. *)
+  let rtt =
+    frequency
+      [
+        (12, float_range 0. 300.);
+        (1, pure 0.);
+        (1, pure 1e-10);
+        (1, pure nan);
+      ]
+  in
+  let neighbors i =
+    map
+      (fun picks ->
+        Array.of_list (List.sort_uniq compare (List.filter (( <> ) i) picks)))
+      (list_size (int_range 0 4) node)
+  in
+  let op =
+    frequency
+      [
+        (8, map3 (fun i j r -> Observe (i, j, r)) node node rtt);
+        (2, map (fun i -> Reset i) node);
+        (2, node >>= fun i -> map (fun ns -> Set_neighbors (i, ns)) (neighbors i));
+        (2, pure Round);
+      ]
+  in
+  let+ ops = list_size (int_range 1 60) op in
+  ( { System.dim; timestep; neighbors_per_node; height },
+    n,
+    seed,
+    ops )
+
+let print_vivaldi_case (config, n, seed, ops) =
+  Printf.sprintf "dim=%d height=%b %s n=%d seed=%d\n%s" config.System.dim
+    config.System.height
+    (match config.System.timestep with
+    | System.Constant d -> Printf.sprintf "Constant %h" d
+    | System.Adaptive { cc; ce } -> Printf.sprintf "Adaptive %h %h" cc ce)
+    n seed
+    (String.concat "\n" (List.map pp_vivaldi_op ops))
+
+let check_vivaldi_against_model (config, n, seed, ops) =
+  let fail fmt = QCheck2.Test.fail_reportf fmt in
+  let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+  let m = euclidean_matrix (seed + 1) n in
+  let s = System.create ~config (Rng.create seed) m in
+  let model = Model.create config seed m in
+  let compare step =
+    for i = 0 to n - 1 do
+      let c = System.coord s i and mc = model.Model.coords.(i) in
+      if Array.length c <> Array.length mc then
+        fail "step %d: node %d coordinate has %d slots, model %d" step i
+          (Array.length c) (Array.length mc);
+      Array.iteri
+        (fun d x ->
+          if not (same x mc.(d)) then
+            fail "step %d: node %d coordinate %d = %h, model %h" step i d x
+              mc.(d))
+        c;
+      if not (same (System.error_estimate s i) model.Model.errors.(i)) then
+        fail "step %d: node %d error %h, model %h" step i
+          (System.error_estimate s i) model.Model.errors.(i);
+      for j = 0 to n - 1 do
+        if not (same (System.predicted s i j) (Model.predicted model i j)) then
+          fail "step %d: predicted %d %d = %h, model %h" step i j
+            (System.predicted s i j) (Model.predicted model i j)
+      done
+    done;
+    let w = System.movement s and mw = model.Model.movement in
+    if
+      Welford.count w <> Welford.count mw
+      || (not (same (Welford.mean w) (Welford.mean mw)))
+      || not (same (Welford.variance w) (Welford.variance mw))
+    then
+      fail "step %d: movement (%d, %h, %h), model (%d, %h, %h)" step
+        (Welford.count w) (Welford.mean w) (Welford.variance w)
+        (Welford.count mw) (Welford.mean mw) (Welford.variance mw)
+  in
+  compare 0;
+  List.iteri
+    (fun step op ->
+      (match op with
+      | Observe (i, j, rtt) ->
+        System.observe_rtt s i j rtt;
+        Model.observe_rtt model i j rtt
+      | Reset i ->
+        System.reset_node s i;
+        Model.reset_node model i
+      | Set_neighbors (i, ns) ->
+        System.set_neighbors s i ns;
+        model.Model.neighbor_sets.(i) <- Array.copy ns
+      | Round ->
+        System.round s;
+        Model.round model);
+      compare (step + 1))
+    ops;
+  true
+
+let prop_vivaldi_matches_model =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"flat state = Vec.t array model"
+       ~print:print_vivaldi_case gen_vivaldi_case check_vivaldi_against_model)
+
 let () =
   Alcotest.run "vivaldi"
     [
@@ -411,6 +687,7 @@ let () =
           Alcotest.test_case "movement tracking" `Quick test_movement_tracking;
           Alcotest.test_case "rounds elapsed" `Quick test_rounds_elapsed;
           Alcotest.test_case "prediction ratio" `Quick test_prediction_ratio;
+          prop_vivaldi_matches_model;
         ] );
       ( "height",
         [
